@@ -1,17 +1,24 @@
 """Benchmark cherloc's command-line jobs end to end, and layer by layer.
 
+    python3 perfbench/run.py --workload order-ladder --seed 3 --trace 0
     python3 perfbench/run.py                 # every workload, untraced then traced
-    python3 perfbench/run.py --workload order-ladder --seed 3 --seconds 40 --trace 0
 
 One driver process runs a workload as a closed loop with one client: each
 job is a fresh `python -m cherloc.cli` process, started when the previous
-one has exited.  With `--trace 0` it repeats whole passes over the job
-list while another pass still fits in `--seconds`, and reports the
-end-to-end metrics as medians over passes.  With `--trace 1` it runs one
-untraced and one traced pass and reports the per-layer metrics.  Every
-artifact is checked by perfbench/oracles.py outside the timed region, and
-every job's artifact must hash the same in every pass.  The last line of
-standard output is one JSON object: correct, attempted, failed, metrics.
+one has exited.  A run repeats whole untraced passes over the job list
+while another pass still fits in `--seconds` (default: `run_seconds` of
+BENCHMARK.json).  With `--trace 0` it reports the end-to-end metrics as
+medians over those passes.  With `--trace 1` it keeps room for one traced
+pass of the same jobs after them and reports the per-layer metrics of that
+pass.  Every artifact is checked by perfbench/oracles.py outside the timed
+region, and every job's artifact must hash the same in every pass, traced
+or not.
+
+For one workload and one mode, the last line of standard output is one JSON
+object: correct, attempted, failed, metrics.  For several (the default
+`--workload all`, or no `--trace`), it is one object with the summed
+correct, attempted and failed, and `runs`: each run's own object, keyed
+`<workload>:trace<0|1>`.
 """
 
 from __future__ import annotations
@@ -274,31 +281,32 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     launcher = Launcher()
     try:
         setups = []
-        for rep in range(1 if trace else SETUP_REPEATS):
+        for rep in range(SETUP_REPEATS):
             jobs, elapsed = setup(launcher, workload, seed, os.path.join(workdir, f"setup{rep}"))
             setups.append(elapsed)
 
+        # A traced run keeps room for its traced pass, which takes about as
+        # long as an untraced one.
         passes = []
         start = time.perf_counter()
         while True:
             passes.append(
                 run_pass(launcher, jobs, os.path.join(workdir, f"pass{len(passes)}"), False)
             )
-            if trace:
-                break
             typical = statistics.median(wall for wall, _ in passes)
-            if time.perf_counter() - start + typical > seconds:
+            if time.perf_counter() - start + typical * (1 + trace) > seconds:
                 break
-        if trace:
-            passes.append(run_pass(launcher, jobs, os.path.join(workdir, "traced"), True))
+        traced = [run_pass(launcher, jobs, os.path.join(workdir, "traced"), True)] if trace else []
 
         first = passes[0][1]
-        failed = sum(run_failed(run, ref) for _, runs in passes for run, ref in zip(runs, first))
+        failed = sum(
+            run_failed(run, ref) for _, runs in passes + traced for run, ref in zip(runs, first)
+        )
         problems = check_all(jobs, first)
         if trace:
+            traced_wall, traced_runs = traced[0]
             metrics = per_layer(
-                jobs, passes[1][1], passes[0][0], passes[1][0],
-                os.path.join(OUT, f"{tag}-spans.json"),
+                jobs, traced_runs, typical, traced_wall, os.path.join(OUT, f"{tag}-spans.json")
             )
             units = PER_LAYER
         else:
@@ -306,7 +314,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
             units = END_TO_END
         result = {
             "correct": not problems,
-            "attempted": len(jobs) * len(passes),
+            "attempted": len(jobs) * len(passes + traced),
             "failed": failed,
             "metrics": {name: {"value": metrics[name], "unit": units[name]} for name in units},
         }
@@ -316,8 +324,9 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
                     **result,
                     "problems": problems,
                     "passes": len(passes),
+                    "traced_passes": len(traced),
                     "jobs": {
-                        job.name: [runs[idx].wall for _, runs in passes]
+                        job.name: [runs[idx].wall for _, runs in passes + traced]
                         for idx, job in enumerate(jobs)
                     },
                     "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
@@ -342,7 +351,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="all", choices=["all", *workloads.WORKLOADS])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=40)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="time budget of one run (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--trace", type=int, choices=[0, 1], default=None,
                         help="0: end-to-end metrics; 1: per-layer metrics (default: both)")
     args = parser.parse_args(argv)
@@ -350,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     if not os.path.isfile(os.path.join(SRC, "cherloc", "cli.py")):
         print(f"perfbench: no cherloc sources under {SRC}", file=sys.stderr)
         return 2
+    if args.seconds is None:
+        with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+            args.seconds = json.load(handle)["run_seconds"]
 
     names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
     modes = [False, True] if args.trace is None else [bool(args.trace)]
