@@ -50,7 +50,6 @@ END_TO_END = {
     "wall_s": "s",
     "largest_job_s": "s",
     "peak_rss_mib": "MiB",
-    "pairs_per_s": "pairs/s",
 }
 
 PER_LAYER = {
@@ -205,16 +204,11 @@ def end_to_end(jobs, setups, passes) -> dict:
     def per_pass(fn):
         return statistics.median(fn(runs) for _, runs in passes)
 
-    def pair_rate(runs):
-        timed = [(job.pairs, run.wall) for job, run in zip(jobs, runs) if job.pairs]
-        return sum(p for p, _ in timed) / sum(w for _, w in timed)
-
     return {
         "setup_s": statistics.median(setups),
         "wall_s": statistics.median(wall for wall, _ in passes),
         "largest_job_s": per_pass(lambda runs: runs[heaviest].wall),
         "peak_rss_mib": per_pass(lambda runs: max(run.rss_kib for run in runs) / 1024),
-        "pairs_per_s": per_pass(pair_rate),
     }
 
 

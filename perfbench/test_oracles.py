@@ -71,6 +71,9 @@ def _relations(planted: bool):
     rows2 = workloads.random_order(rank, 2, rng)
     if planted:
         rows2 = workloads.plant_reversal(rank, rows1, rows2)
+    perm = list(range(len(labels)))
+    rng.shuffle(perm)
+    rows1, rows2 = workloads.relabel(rows1, perm), workloads.relabel(rows2, perm)
     rels = [
         Relation(tuple(labels), tuple(tuple(bool(r >> j & 1) for j in range(len(labels)))
                                       for r in rows))
