@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .combinatorics import Box
+from .combinatorics import Box, relevant_boxes
 from .scalars import KappaMode, ParamScalar, RationalLike, Sign
 
 
@@ -88,25 +89,16 @@ def box_equiv(p: Params, b1: Box, b2: Box) -> bool:
     return diff.in_integers_plus(Fraction(b1.i - b2.i, p.ell))
 
 
-def box_less(p: Params, b1: Box, b2: Box, tiebreak: bool = False) -> bool:
-    """Strict order: comparable boxes whose content difference is negative.
-
-    With tiebreak enabled, comparable boxes of equal content are
-    additionally ordered by component index.
-    """
+def box_less(p: Params, b1: Box, b2: Box) -> bool:
+    """Strict order: comparable boxes whose content difference is negative."""
     if not box_equiv(p, b1, b2):
         return False
-    sign = (cont(p, b1) - cont(p, b2)).rational_sign()
-    if sign is Sign.NEGATIVE:
-        return True
-    if tiebreak and sign is Sign.ZERO and b1.i < b2.i:
-        return True
-    return False
+    return (cont(p, b1) - cont(p, b2)).rational_sign() is Sign.NEGATIVE
 
 
-def box_leq(p: Params, b1: Box, b2: Box, tiebreak: bool = False) -> bool:
+def box_leq(p: Params, b1: Box, b2: Box) -> bool:
     """Identical boxes, or b1 strictly below b2."""
-    return b1 == b2 or box_less(p, b1, b2, tiebreak)
+    return b1 == b2 or box_less(p, b1, b2)
 
 
 def content_class_key(p: Params, box: Box):
@@ -118,3 +110,46 @@ def content_class_key(p: Params, box: Box):
     """
     shifted = cont(p, box) - Fraction(box.i, p.ell)
     return (shifted.b, shifted.a % 1)
+
+
+ClassId = tuple[Fraction, int]
+
+
+@dataclass(frozen=True)
+class ContentTable:
+    """The contents of relevant_boxes(ell, n), compiled to exact integers.
+
+    Every content is scaled by one common denominator D = lcm(ell, the
+    denominator of kappa, the denominators of the h_i), so D*a is an
+    integer for the rational part a of each content.  A box maps to
+    (class id, D*a), where the class id is (kappa coefficient,
+    (D*a - (D/ell)*i) mod D): the same partition as content_class_key.
+    Inside one class, b1 < b2 exactly when D*a(b1) < D*a(b2), since the
+    kappa coefficients agree there.  Equal contents inside one class
+    force the same component: (D/ell)*(i - i') is then a multiple of D,
+    and |i - i'| < ell leaves only i = i'.  So no tie between components
+    ever has to be broken.
+    """
+
+    denominator: int
+    entries: dict[Box, tuple[ClassId, int]]
+
+    @classmethod
+    def compile(cls, p: Params, n: int) -> ContentTable:
+        """Build the table for (p, n); empty for n = 0."""
+        kappa = p.mode.value  # None in formal mode
+        D = lcm(
+            p.ell,
+            1 if kappa is None else kappa.denominator,
+            *(entry.a.denominator for entry in p.h),
+        )
+        step = D // p.ell
+        base = [int(entry.a * D) for entry in p.h]
+        slope = 0 if kappa is None else int(kappa * D)
+        entries = {}
+        for box in relevant_boxes(p.ell, n) if n else ():
+            diagonal = box.y - box.x
+            content = base[box.i] + slope * diagonal
+            kappa_part = p.h[box.i].b + diagonal if kappa is None else Fraction(0)
+            entries[box] = ((kappa_part, (content - step * box.i) % D), content)
+        return cls(D, entries)

@@ -48,36 +48,43 @@ class JobSpec:
     params: Params | None = None
     theta: Stability | None = None
     inputs: tuple[str, ...] = ()
-    tiebreak: bool = False
     index_mode: IndexMode = IndexMode.LITERAL
     oracle_bound: int = 6
     retry_bound: int = 64
-    workers: int = 1
     out: str | None = None
     dot: str | None = None
     max_n: int | None = None
 
     @classmethod
     def from_json(cls, data: dict) -> JobSpec:
+        if not isinstance(data, dict):
+            raise ValueError("a job file must hold a JSON object")
+        options = data.get("options", {})
+        if not isinstance(options, dict):
+            raise ValueError("job options must be a JSON object")
         params = Params.from_json(data["params"]) if data.get("params") else None
         theta = Stability.from_json(data["theta"]) if data.get("theta") else None
-        options = data.get("options", {})
         return cls(
             command=data["command"],
-            ell=data.get("ell"),
-            n=data.get("n"),
+            ell=_optional_int(data, "ell"),
+            n=_optional_int(data, "n"),
             params=params,
             theta=theta,
             inputs=tuple(data.get("inputs", ())),
-            tiebreak=bool(options.get("tiebreak", False)),
             index_mode=IndexMode(options.get("index_mode", "literal")),
             oracle_bound=int(options.get("oracle_bound", 6)),
             retry_bound=int(options.get("retry_bound", 64)),
-            workers=int(options.get("workers", 1)),
             out=options.get("out"),
             dot=options.get("dot"),
             max_n=options.get("max_n"),
         )
+
+
+def _optional_int(data: dict, key: str) -> int | None:
+    value = data.get(key)
+    if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+        raise ValueError(f"job field {key!r} must be an integer")
+    return value
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -93,7 +100,9 @@ def _guard_sizes(job: JobSpec) -> None:
     if cap is None:
         env = os.environ.get(MAX_N_ENV)
         cap = int(env) if env else MAX_N_DEFAULT
-    if job.ell is not None and job.ell > MAX_ELL_DEFAULT:
+    ells = [job.ell]
+    ells += [source.ell for source in (job.params, job.theta) if source is not None]
+    if any(ell is not None and ell > MAX_ELL_DEFAULT for ell in ells):
         raise ValueError(f"ell > {MAX_ELL_DEFAULT} refused by the size guard")
     if job.n is not None and job.n > cap:
         raise ValueError(
@@ -113,8 +122,7 @@ def _run_enumerate(job: JobSpec) -> int:
 
 
 def _run_order(job: JobSpec) -> int:
-    inst = OrderInstance(job.params, job.n, job.tiebreak)
-    rel = relation_p(inst, job.workers)
+    rel = relation_p(OrderInstance(job.params, job.n))
     _emit(canonical_dumps(rel.to_json()), job.out)
     if job.dot is not None:
         _emit(to_dot(rel), job.dot)
@@ -150,10 +158,8 @@ def _run_theta(job: JobSpec) -> int:
 def _run_localize(job: JobSpec) -> int:
     options = LocalizeOptions(
         index_mode=job.index_mode,
-        tiebreak=job.tiebreak,
         oracle_bound=job.oracle_bound,
         retry_bound=job.retry_bound,
-        workers=job.workers,
     )
     try:
         certificate = localize(job.params, job.n, options)
@@ -180,22 +186,29 @@ def _run_common_refinement(job: JobSpec) -> int:
     return 1
 
 
+# command -> (handler, the JobSpec fields it reads)
 _HANDLERS = {
-    "enumerate": _run_enumerate,
-    "order": _run_order,
-    "spherical": _run_spherical,
-    "generic": _run_generic,
-    "theta": _run_theta,
-    "localize": _run_localize,
-    "common-refinement": _run_common_refinement,
+    "enumerate": (_run_enumerate, ("ell", "n")),
+    "order": (_run_order, ("n", "params")),
+    "spherical": (_run_spherical, ("n", "params")),
+    "generic": (_run_generic, ("n", "theta")),
+    "theta": (_run_theta, ("params",)),
+    "localize": (_run_localize, ("n", "params")),
+    "common-refinement": (_run_common_refinement, ("inputs",)),
 }
 
 
 def run(job: JobSpec) -> int:
     if job.command not in _HANDLERS:
         raise ValueError(f"unknown command: {job.command}")
+    handler, required = _HANDLERS[job.command]
+    missing = [name for name in required if getattr(job, name) in (None, ())]
+    if missing:
+        raise ValueError(f"{job.command} needs {', '.join(missing)}")
+    if job.command == "common-refinement" and len(job.inputs) != 2:
+        raise ValueError("common-refinement needs two relation files")
     _guard_sizes(job)
-    return _HANDLERS[job.command](job)
+    return handler(job)
 
 
 def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -226,8 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("order", help="compute the order relation on multipartitions")
     _add_common(sp, "ell", "n", "kappa", "h")
-    sp.add_argument("--tiebreak", action="store_true")
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--dot", help="also write the Hasse diagram as DOT")
 
     sp = sub.add_parser("spherical", help="list aspherical hyperplanes through p")
@@ -247,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("localize", help="deform p and emit a certificate")
     _add_common(sp, "ell", "n", "kappa", "h")
-    sp.add_argument("--tiebreak", action="store_true")
     sp.add_argument(
         "--index-mode",
         choices=[mode.value for mode in IndexMode],
@@ -256,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--oracle-bound", type=int, default=6, dest="oracle_bound")
     sp.add_argument("--retry-bound", type=int, default=64, dest="retry_bound")
-    sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser(
         "common-refinement", help="minimum common refinement of two relation files"
@@ -287,10 +296,8 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
     for name in (
         "ell",
         "n",
-        "tiebreak",
         "oracle_bound",
         "retry_bound",
-        "workers",
         "out",
         "dot",
         "max_n",

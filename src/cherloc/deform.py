@@ -22,7 +22,6 @@ from .loci import (
     Stability,
     aspherical_witnesses,
     genericity_witness,
-    is_spherical,
     theta_of_p,
 )
 from .mporder import OrderInstance, relation_p
@@ -297,10 +296,8 @@ class CheckResult:
 @dataclass(frozen=True)
 class LocalizeOptions:
     index_mode: IndexMode = IndexMode.LITERAL
-    tiebreak: bool = False
     oracle_bound: int = 6
     retry_bound: int = 64
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -378,8 +375,8 @@ def localize(p: Params, n: int, options: LocalizeOptions | None = None) -> Certi
         )
     )
     if n <= options.oracle_bound:
-        rel_before = relation_p(OrderInstance(p, n, options.tiebreak), options.workers)
-        rel_after = relation_p(OrderInstance(p2, n, options.tiebreak), options.workers)
+        rel_before = relation_p(OrderInstance(p, n))
+        rel_after = relation_p(OrderInstance(p2, n))
         checks.append(
             CheckResult(
                 "order_relation_equal",
@@ -393,14 +390,14 @@ def localize(p: Params, n: int, options: LocalizeOptions | None = None) -> Certi
                 "order_relation_equal", None, {"skipped": f"n > {options.oracle_bound}"}
             )
         )
-    spherical = is_spherical(p, n)
+    witnesses = aspherical_witnesses(p, n)
     checks.append(
         CheckResult(
             "spherical",
             None,
             {
-                "spherical": spherical,
-                "witnesses": [w.to_json() for w in aspherical_witnesses(p, n)],
+                "spherical": not witnesses,
+                "witnesses": [w.to_json() for w in witnesses],
             },
         )
     )

@@ -2,19 +2,33 @@
 
 lambda <= mu holds when the boxes of lambda can be matched bijectively
 onto the boxes of mu with every box weakly below its image in the box
-order.  Decided by maximum bipartite matching; boxes in different
-comparability classes never share an edge, so the graph is pruned by
-content class first.
+order.  Boxes in different comparability classes are never related, so
+a matching exists only if both labels have the same number of boxes in
+every class.  A box the two labels share can always be matched to
+itself: if b went to r and l came to b, then l < b < r, and l -> r,
+b -> b is a matching too.  What is left, class by class, is a bipartite
+graph in which a box is joined to every box of larger content; Hall's
+condition on such a threshold graph reads: the k-th smallest content
+of lambda is below the k-th smallest content of mu, for every k.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .boxorder import Params, box_leq, box_less, content_class_key
-from .combinatorics import Box, Multipartition, boxes, enumerate_multipartitions
+from .boxorder import ContentTable, Params, box_leq
+from .combinatorics import Multipartition, boxes, enumerate_multipartitions
 from .poset import Relation
+
+
+@dataclass(frozen=True)
+class _CompiledLabel:
+    """A label as the set of its box ids and its count of boxes per class."""
+
+    boxes: frozenset[int]
+    signature: tuple[tuple[int, int], ...]
 
 
 @dataclass
@@ -23,17 +37,45 @@ class OrderInstance:
 
     p: Params
     n: int
-    tiebreak: bool = False
     labels: tuple[Multipartition, ...] = field(init=False)
+    # box id -> class rank * span + content - lowest content: sorting these
+    # groups boxes by class, and by content inside a class.
+    _keys: list[int] = field(init=False, repr=False)
+    _compiled: dict[Multipartition, _CompiledLabel] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("need n >= 0")
         self.labels = tuple(enumerate_multipartitions(self.p.ell, self.n))
+        entries = ContentTable.compile(self.p, self.n).entries
+        box_ids = {box: k for k, box in enumerate(entries)}
+        class_ids = sorted({cid for cid, _ in entries.values()})
+        class_rank = {cid: r for r, cid in enumerate(class_ids)}
+        contents = [content for _, content in entries.values()]
+        low = min(contents, default=0)
+        span = max(contents, default=0) - low + 1
+        self._keys = [class_rank[cid] * span + content - low for cid, content in entries.values()]
+        self._compiled = {}
+        for mp in self.labels:
+            ids = [box_ids[box] for box in boxes(mp)]
+            ranks = Counter(self._keys[k] // span for k in ids)
+            self._compiled[mp] = _CompiledLabel(frozenset(ids), tuple(sorted(ranks.items())))
 
     @property
     def ell(self) -> int:
         return self.p.ell
+
+    def signature(self, mp: Multipartition) -> tuple[tuple[int, int], ...]:
+        """(class rank, box count) for every class mp has boxes in."""
+        return self._compiled_label(mp).signature
+
+    def _compiled_label(self, mp: Multipartition) -> _CompiledLabel:
+        compiled = self._compiled.get(mp)
+        if compiled is None:
+            # Every ell-multipartition of n is a label, so mp is malformed.
+            _check_pair(self, mp, mp)
+            raise ValueError("not an ell-multipartition of n")
+        return compiled
 
 
 def _check_pair(inst: OrderInstance, lam: Multipartition, mu: Multipartition) -> None:
@@ -43,54 +85,17 @@ def _check_pair(inst: OrderInstance, lam: Multipartition, mu: Multipartition) ->
         raise ValueError("multipartition has the wrong size")
 
 
-def _adjacency(inst: OrderInstance, lam: Multipartition, mu: Multipartition):
-    """Edge lists from boxes(lam) to boxes(mu), pruned by content class."""
-    left, right = boxes(lam), boxes(mu)
-    by_class: dict = {}
-    for idx, box in enumerate(right):
-        by_class.setdefault(content_class_key(inst.p, box), []).append(idx)
-    adj = []
-    for box in left:
-        candidates = by_class.get(content_class_key(inst.p, box), ())
-        adj.append(
-            [
-                idx
-                for idx in candidates
-                if box == right[idx]
-                or box_less(inst.p, box, right[idx], inst.tiebreak)
-            ]
-        )
-    return adj, len(right)
-
-
-def _max_matching_size(adj: list[list[int]], n_right: int) -> int:
-    """Maximum bipartite matching via augmenting paths."""
-    match_right = [-1] * n_right
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if seen[v]:
-                continue
-            seen[v] = True
-            if match_right[v] == -1 or augment(match_right[v], seen):
-                match_right[v] = u
-                return True
-        return False
-
-    size = 0
-    for u in range(len(adj)):
-        if augment(u, [False] * n_right):
-            size += 1
-    return size
-
-
 def leq_p(inst: OrderInstance, lam: Multipartition, mu: Multipartition) -> bool:
-    """Whether lam <= mu in the matching order."""
-    _check_pair(inst, lam, mu)
-    adj, n_right = _adjacency(inst, lam, mu)
-    if any(not edges for edges in adj):
+    """Whether lam <= mu in the matching order, by per-class sorted dominance."""
+    a, b = inst._compiled_label(lam), inst._compiled_label(mu)
+    if a.signature != b.signature:
         return False
-    return _max_matching_size(adj, n_right) == inst.n
+    keys = inst._keys
+    left = sorted([keys[k] for k in a.boxes - b.boxes])
+    right = sorted([keys[k] for k in b.boxes - a.boxes])
+    # Equal signatures leave equal counts per class, so the k-th keys of
+    # the two sides lie in the same class.
+    return all(x < y for x, y in zip(left, right))
 
 
 def leq_p_oracle(
@@ -106,32 +111,25 @@ def leq_p_oracle(
         raise ValueError(f"oracle limited to n <= {bound}")
     left, right = boxes(lam), boxes(mu)
     return any(
-        all(
-            box_leq(inst.p, a, b, inst.tiebreak)
-            for a, b in zip(left, image)
-        )
+        all(box_leq(inst.p, a, b) for a, b in zip(left, image))
         for image in permutations(right)
     )
 
 
-def _relation_row(inst: OrderInstance, row_index: int) -> tuple[bool, ...]:
-    lam = inst.labels[row_index]
-    return tuple(leq_p(inst, lam, mu) for mu in inst.labels)
+def relation_p(inst: OrderInstance) -> Relation:
+    """The full order relation as a dense matrix over the canonical labels.
 
-
-def relation_p(inst: OrderInstance, workers: int = 1) -> Relation:
-    """The full order relation as a dense matrix over the canonical labels."""
-    indices = range(len(inst.labels))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_relation_row_task, ((inst, k) for k in indices)))
-    else:
-        rows = [_relation_row(inst, k) for k in indices]
-    return Relation(tuple(mp.parts for mp in inst.labels), tuple(rows))
-
-
-def _relation_row_task(args) -> tuple[bool, ...]:
-    inst, row_index = args
-    return _relation_row(inst, row_index)
+    leq_p decides the pairs inside one signature group; labels with
+    different per-class box counts are never related.
+    """
+    labels = inst.labels
+    groups: dict[tuple, list[int]] = {}
+    for k, mp in enumerate(labels):
+        groups.setdefault(inst.signature(mp), []).append(k)
+    rows = [[False] * len(labels) for _ in labels]
+    for members in groups.values():
+        for a in members:
+            lam, row = labels[a], rows[a]
+            for b in members:
+                row[b] = leq_p(inst, lam, labels[b])
+    return Relation(tuple(mp.parts for mp in labels), tuple(map(tuple, rows)))

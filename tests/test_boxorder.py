@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cherloc import (
     Box,
+    ContentTable,
     KappaMode,
     Params,
     box_equiv,
@@ -132,14 +133,45 @@ def test_translation_invariance_of_predicates():
                     assert box_less(p, a, b) == box_less(p, sa, sb)
 
 
-def test_tiebreak_mode_is_inert_under_literal_indices():
-    # equal contents in distinct components are never equivalent, because
-    # (i - i')/ell is not an integer for 0 <= i != i' < ell
-    for p in sample_params():
+def table_params():
+    return sample_params() + [
+        Params.build(KappaMode.rational(0), [Fraction(1, 2), 0]),
+        Params.build(KappaMode.rational(Fraction(-3, 4)), [Fraction(1, 6), 0, Fraction(1, 3)]),
+        Params.build(FORMAL, [0, Fraction(1, 3), Fraction(2, 3)]),
+        Params.build(FORMAL, [FORMAL.scalar(Fraction(1, 2), Fraction(1, 3)), 0]),
+    ]
+
+
+def test_content_table_agrees_with_the_box_predicates():
+    for p in table_params():
+        table = ContentTable.compile(p, 3)
         grid = relevant_boxes(p.ell, 3)
+        assert list(table.entries) == grid
         for a in grid:
+            class_a, content_a = table.entries[a]
+            assert isinstance(content_a, int)
+            assert Fraction(content_a, table.denominator) == cont(p, a).a
             for b in grid:
-                assert box_less(p, a, b, tiebreak=True) == box_less(p, a, b)
+                class_b, content_b = table.entries[b]
+                assert (class_a == class_b) == box_equiv(p, a, b)
+                assert (class_a == class_b and content_a < content_b) == box_less(p, a, b)
+
+
+def test_content_table_ties_stay_inside_one_component():
+    # Equal content inside one class forces the same component, so no
+    # tie between components needs breaking.
+    for p in table_params():
+        entries = ContentTable.compile(p, 3).entries
+        for a in entries:
+            for b in entries:
+                if entries[a] == entries[b]:
+                    assert a.i == b.i
+
+
+def test_content_table_denominator_and_empty_grid():
+    p = Params.build(KappaMode.rational(Fraction(2, 3)), [Fraction(1, 4), Fraction(-1, 4)])
+    assert ContentTable.compile(p, 2).denominator == 12
+    assert ContentTable.compile(p, 0).entries == {}
 
 
 def test_content_class_key_matches_equivalence():

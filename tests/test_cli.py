@@ -244,13 +244,53 @@ def test_size_guard_refuses_large_ell(capsys):
         ("theta", "--ell", "1", "--kappa", "1/2", "--h", "0.5"),
         ("common-refinement", "missing-a.json", "missing-b.json"),
         ("job", "no-such-job.json"),
+        ("order", "--ell", "1", "--n", "2", "--kappa", "1/0"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert err.startswith("cherloc: ")
+    assert err.startswith("cherloc: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        # not a JSON object
+        [{"command": "order", "ell": 1, "n": 2}],
+        # no n
+        {"command": "order", "ell": 1,
+         "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}]}},
+        # n of the wrong type
+        {"command": "enumerate", "ell": 1, "n": "3"},
+    ],
+)
+def test_malformed_job_file_exits_2_with_one_line(capsys, tmp_path, job):
+    jobfile = tmp_path / "job.json"
+    jobfile.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, "job", str(jobfile))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cherloc: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        {"command": "order", "n": 3,
+         "params": {"ell": 5, "kappa": "1/2", "h": [{"a": "0/1"}] * 5}},
+        {"command": "generic", "n": 2,
+         "theta": {"theta": [{"a": "1/1"}] * 5, "kappa": "1/2"}},
+    ],
+)
+def test_size_guard_reads_ell_from_params_and_theta(capsys, tmp_path, job):
+    jobfile = tmp_path / "job.json"
+    jobfile.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, "job", str(jobfile))
+    assert code == 2
+    assert out == ""
+    assert "size guard" in err
 
 
 def test_job_rejects_unknown_command(capsys, tmp_path):

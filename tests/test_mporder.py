@@ -1,12 +1,18 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cherloc import (
     KappaMode,
     Multipartition,
     OrderInstance,
     Params,
+    box_less,
+    boxes,
+    content_class_key,
     is_partial_order,
     leq_p,
     leq_p_oracle,
@@ -117,15 +123,96 @@ def test_relation_is_reflexive_transitive_antisymmetric_on_samples():
         assert is_partial_order(rel) is None
 
 
-def test_parallel_relation_equals_sequential():
-    inst = OrderInstance(Params.build(HALF, [0]), 3)
-    assert relation_p(inst, workers=2).matrix == relation_p(inst).matrix
-
-
 def test_relation_invariant_under_common_offset_shift():
     base = Params.build(HALF, [Fraction(1, 4), Fraction(-1, 4)])
     shifted = Params.build(HALF, [Fraction(1, 4) + 3, Fraction(-1, 4) + 3])
     assert (
         relation_p(OrderInstance(base, 2)).matrix
         == relation_p(OrderInstance(shifted, 2)).matrix
+    )
+
+
+def _adjacency(inst, lam, mu):
+    """Edge lists from boxes(lam) to boxes(mu), pruned by content class."""
+    left, right = boxes(lam), boxes(mu)
+    by_class = {}
+    for idx, box in enumerate(right):
+        by_class.setdefault(content_class_key(inst.p, box), []).append(idx)
+    adj = []
+    for box in left:
+        candidates = by_class.get(content_class_key(inst.p, box), ())
+        adj.append(
+            [idx for idx in candidates if box == right[idx] or box_less(inst.p, box, right[idx])]
+        )
+    return adj, len(right)
+
+
+def _max_matching_size(adj, n_right):
+    """Maximum bipartite matching via augmenting paths."""
+    match_right = [-1] * n_right
+
+    def augment(u, seen):
+        for v in adj[u]:
+            if seen[v]:
+                continue
+            seen[v] = True
+            if match_right[v] == -1 or augment(match_right[v], seen):
+                match_right[v] = u
+                return True
+        return False
+
+    return sum(augment(u, [False] * n_right) for u in range(len(adj)))
+
+
+def leq_p_matching(inst, lam, mu):
+    """Second oracle: a perfect matching in the box graph, by augmenting paths."""
+    adj, n_right = _adjacency(inst, lam, mu)
+    return _max_matching_size(adj, n_right) == inst.n
+
+
+@st.composite
+def instances(draw, max_ell=4, max_n=5):
+    ell = draw(st.integers(1, max_ell))
+    n = draw(st.integers(0, max_n))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    kind = draw(st.sampled_from(["rational", "formal-shared", "formal-k"]))
+    if kind == "rational":
+        # Negative kappa included; with kappa = 0 every box of a component
+        # has the same content, so distinct boxes tie.
+        named = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(-2, 3)])
+        mode = KappaMode.rational(draw(named | small))
+        h = [draw(small) for _ in range(ell)]
+    elif kind == "formal-shared":
+        # h_i = i/ell: every component shares its content classes
+        mode = KappaMode.formal()
+        h = [Fraction(i, ell) for i in range(ell)]
+    else:
+        mode = KappaMode.formal()
+        h = [mode.scalar(draw(small), draw(st.sampled_from([0, 1, -1, Fraction(1, 2)])))
+             for _ in range(ell)]
+    return OrderInstance(Params.build(mode, h), n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=instances(), data=st.data())
+def test_sorted_dominance_agrees_with_the_augmenting_path_matcher(inst, data):
+    labels = inst.labels
+    counts = [Counter(content_class_key(inst.p, box) for box in boxes(mp)) for mp in labels]
+    for _ in range(4):
+        a = data.draw(st.integers(0, len(labels) - 1))
+        # Half the draws come from lam's class-count group, where the
+        # answer is not decided by the counts alone.
+        same = [b for b in range(len(labels)) if counts[b] == counts[a]]
+        b = data.draw(st.sampled_from(same) if data.draw(st.booleans())
+                      else st.integers(0, len(labels) - 1))
+        lam, mu = labels[a], labels[b]
+        assert leq_p(inst, lam, mu) == leq_p_matching(inst, lam, mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=instances(max_ell=3, max_n=4))
+def test_relation_equals_the_matrix_of_pairwise_queries(inst):
+    rel = relation_p(inst)
+    assert rel.matrix == tuple(
+        tuple(leq_p(inst, lam, mu) for mu in inst.labels) for lam in inst.labels
     )
