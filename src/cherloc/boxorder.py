@@ -66,6 +66,8 @@ class Params:
 
     @classmethod
     def from_json(cls, data: dict) -> Params:
+        if not isinstance(data, dict) or not isinstance(data.get("h"), list):
+            raise ValueError("params must be a JSON object with a list h")
         mode = KappaMode.from_label(data["kappa"])
         h = tuple(ParamScalar.from_json(entry, mode) for entry in data["h"])
         p = cls(mode, h)

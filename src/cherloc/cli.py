@@ -26,7 +26,7 @@ from .loci import (
     theta_of_p,
 )
 from .mporder import OrderInstance, relation_p
-from .poset import Relation, common_refinement, to_dot
+from .poset import Relation, common_refinement, label_json, to_dot
 from .scalars import KappaMode, parse_scalar
 
 MAX_ELL_DEFAULT = 4
@@ -64,26 +64,32 @@ class JobSpec:
             raise ValueError("job options must be a JSON object")
         params = Params.from_json(data["params"]) if data.get("params") else None
         theta = Stability.from_json(data["theta"]) if data.get("theta") else None
+        inputs = _field(data, "inputs", list, [])
+        if not all(isinstance(path, str) for path in inputs):
+            raise ValueError("job field 'inputs' must list file paths")
         return cls(
-            command=data["command"],
-            ell=_optional_int(data, "ell"),
-            n=_optional_int(data, "n"),
+            command=_field(data, "command", str),
+            ell=_field(data, "ell", int),
+            n=_field(data, "n", int),
             params=params,
             theta=theta,
-            inputs=tuple(data.get("inputs", ())),
+            inputs=tuple(inputs),
             index_mode=IndexMode(options.get("index_mode", "literal")),
-            oracle_bound=int(options.get("oracle_bound", 6)),
-            retry_bound=int(options.get("retry_bound", 64)),
-            out=options.get("out"),
-            dot=options.get("dot"),
-            max_n=options.get("max_n"),
+            oracle_bound=_field(options, "oracle_bound", int, 6),
+            retry_bound=_field(options, "retry_bound", int, 64),
+            out=_field(options, "out", str),
+            dot=_field(options, "dot", str),
+            max_n=_field(options, "max_n", int),
         )
 
 
-def _optional_int(data: dict, key: str) -> int | None:
+def _field(data: dict, key: str, kind: type, default=None):
+    """data[key] checked to be a kind (never a bool), or default when absent."""
     value = data.get(key)
-    if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-        raise ValueError(f"job field {key!r} must be an integer")
+    if value is None:
+        return default
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"job field {key!r} must be of type {kind.__name__}")
     return value
 
 
@@ -180,8 +186,7 @@ def _run_common_refinement(job: JobSpec) -> int:
     if result.order is not None:
         _emit(canonical_dumps(result.order.to_json()), job.out)
         return 0
-    artifact = {"cycle": [list(map(list, label)) if isinstance(label, tuple) else label
-                          for label in result.cycle]}
+    artifact = {"cycle": [label_json(label) for label in result.cycle]}
     _emit(canonical_dumps(artifact), job.out)
     return 1
 
@@ -222,12 +227,26 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument("--h", help="comma list of scalars, e.g. 1/4,-1/4 or 0,1/2k")
     if "theta" in names:
         parser.add_argument("--theta", required=True, help="comma list of scalars")
+    if "index-mode" in names:
+        parser.add_argument(
+            "--index-mode",
+            choices=[mode.value for mode in IndexMode],
+            default=IndexMode.LITERAL.value,
+            dest="index_mode",
+        )
     parser.add_argument("--out", help="write the JSON artifact here instead of stdout")
     parser.add_argument("--max-n", type=int, dest="max_n", help="raise the size guard")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 2 with one `cherloc: ...` line."""
+
+    def error(self, message: str):
+        self.exit(2, f"cherloc: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cherloc",
         description="Exact multipartition box orders, aspherical loci, and "
         "deformation certificates.",
@@ -245,25 +264,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp, "ell", "n", "kappa", "h")
 
     sp = sub.add_parser("generic", help="check genericity of a stability vector")
-    _add_common(sp, "ell", "n", "kappa", "theta")
-    sp.add_argument(
-        "--index-mode",
-        choices=[mode.value for mode in IndexMode],
-        default=IndexMode.LITERAL.value,
-        dest="index_mode",
-    )
+    _add_common(sp, "ell", "n", "kappa", "theta", "index-mode")
 
     sp = sub.add_parser("theta", help="read the stability vector off p")
     _add_common(sp, "ell", "kappa", "h")
 
     sp = sub.add_parser("localize", help="deform p and emit a certificate")
-    _add_common(sp, "ell", "n", "kappa", "h")
-    sp.add_argument(
-        "--index-mode",
-        choices=[mode.value for mode in IndexMode],
-        default=IndexMode.LITERAL.value,
-        dest="index_mode",
-    )
+    _add_common(sp, "ell", "n", "kappa", "h", "index-mode")
     sp.add_argument("--oracle-bound", type=int, default=6, dest="oracle_bound")
     sp.add_argument("--retry-bound", type=int, default=64, dest="retry_bound")
 
@@ -293,15 +300,7 @@ def _params_from_args(args: argparse.Namespace) -> Params:
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
     job = JobSpec(command=args.command)
-    for name in (
-        "ell",
-        "n",
-        "oracle_bound",
-        "retry_bound",
-        "out",
-        "dot",
-        "max_n",
-    ):
+    for name in ("ell", "n", "oracle_bound", "retry_bound", "out", "dot", "max_n"):
         if hasattr(args, name):
             setattr(job, name, getattr(args, name))
     if hasattr(args, "index_mode"):

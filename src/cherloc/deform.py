@@ -11,11 +11,13 @@ an exhausted schedule raises with diagnostics of the last failure.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, islice
 from math import lcm
 
-from .boxorder import Params, box_equiv, box_less
+from .boxorder import ContentTable, Params
 from .combinatorics import Box, relevant_boxes
 from .loci import (
     IndexMode,
@@ -48,20 +50,21 @@ class DeformPlan:
     """The data of one deformation candidate.
 
     M is the kappa multiplier in rational mode (None in formal mode);
-    kappa_shift is the additive shift in formal mode (None in rational
-    mode); m is strictly increasing and subtracted componentwise.
+    m is strictly increasing and subtracted componentwise.  Formal mode
+    keeps kappa fixed, so the JSON form records a kappa_shift of 0 there
+    (None in rational mode).
     """
 
     m: tuple[int, ...]
     M: int | None = None
-    kappa_shift: int | None = None
 
     def __post_init__(self) -> None:
         if any(a >= b for a, b in zip(self.m, self.m[1:])):
             raise ValueError("m must be strictly increasing")
 
     def to_json(self) -> dict:
-        return {"M": self.M, "m": list(self.m), "kappa_shift": self.kappa_shift}
+        kappa_shift = 0 if self.M is None else None
+        return {"M": self.M, "m": list(self.m), "kappa_shift": kappa_shift}
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,18 @@ class PreservationViolation:
             "before": self.before,
             "after": self.after,
         }
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One named certificate check; passed is None for informational entries."""
+
+    name: str
+    passed: bool | None
+    detail: dict = field(default_factory=dict)
+
+    def to_json(self) -> dict:
+        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 def s_coordinates(p: Params) -> list[tuple[Fraction, Fraction]]:
@@ -121,20 +136,28 @@ def index_classes(p: Params) -> list[list[int]]:
 
 
 def verify_preservation(p: Params, p2: Params, n: int) -> PreservationViolation | None:
-    """Check box_equiv and box_less agree under p and p2 on the full grid.
+    """Check that p and p2 induce the same box order on the full grid.
 
-    Runs over every ordered pair of relevant_boxes(ell, n); returns the
-    first disagreement, or None.
+    Reads both orders off compiled ContentTables: two boxes are
+    equivalent when their class ids agree, and b1 < b2 when besides
+    b1 has the smaller integer content.  Walks the ordered pairs of
+    relevant_boxes(ell, n), b1 outer, testing equivalence before order;
+    returns the first disagreement, or None.
     """
     if p.ell != p2.ell:
         raise ValueError("parameter vectors have different lengths")
     grid = relevant_boxes(p.ell, n)
+    old = ContentTable.compile(p, n).entries
+    new = ContentTable.compile(p2, n).entries
     for b1 in grid:
+        (old_class1, old_content1), (new_class1, new_content1) = old[b1], new[b1]
         for b2 in grid:
-            before, after = box_equiv(p, b1, b2), box_equiv(p2, b1, b2)
+            (old_class2, old_content2), (new_class2, new_content2) = old[b2], new[b2]
+            before, after = old_class1 == old_class2, new_class1 == new_class2
             if before != after:
                 return PreservationViolation(b1, b2, "equiv", before, after)
-            before, after = box_less(p, b1, b2), box_less(p2, b1, b2)
+            before = before and old_content1 < old_content2
+            after = after and new_content1 < new_content2
             if before != after:
                 return PreservationViolation(b1, b2, "less", before, after)
     return None
@@ -160,19 +183,55 @@ def _integral_difference_failure(p: Params, p2: Params) -> dict | None:
     return None
 
 
-def _candidate_failure(
+def required_checks(
     p: Params, p2: Params, n: int, index_mode: IndexMode
-) -> dict | None:
+) -> Iterator[CheckResult]:
+    """The checks a candidate must pass, in order, each run when reached.
+
+    The candidate search stops at the first failed check; localize runs
+    them all again as its independent re-check.  A passed check carries
+    the detail the certificate records; a failed one carries the
+    witness the search reports.
+    """
     failure = _integral_difference_failure(p, p2)
-    if failure is not None:
-        return {"check": "integral_difference", **failure}
+    yield CheckResult("integral_difference", failure is None, failure or {})
     violation = verify_preservation(p, p2, n)
-    if violation is not None:
-        return {"check": "box_order_preserved", **violation.to_json()}
+    yield CheckResult(
+        "box_order_preserved",
+        violation is None,
+        {"n": n} if violation is None else violation.to_json(),
+    )
     witness = genericity_witness(theta_of_p(p2), n, index_mode)
-    if witness is not None:
-        return {"check": "theta_generic", "witness": witness.to_json()}
-    return None
+    yield CheckResult(
+        "theta_generic",
+        witness is None,
+        {"index_mode": index_mode.value}
+        if witness is None
+        else {"witness": witness.to_json()},
+    )
+
+
+def _search(
+    p: Params, n: int, index_mode: IndexMode, candidates, diagnostics: dict
+) -> tuple[Params, DeformPlan]:
+    """The first (p2, plan) of candidates that passes every required check.
+
+    Raises DeformationError with diagnostics, the number of candidates
+    tried and the last candidate's first failed check.
+    """
+    attempts = 0
+    last: dict | None = None
+    for p2, plan in candidates:
+        attempts += 1
+        checks = required_checks(p, p2, n, index_mode)
+        failed = next((check for check in checks if not check.passed), None)
+        if failed is None:
+            return p2, plan
+        last = {"plan": plan.to_json(), "failure": {"check": failed.name, **failed.detail}}
+    raise DeformationError(
+        "no deformation candidate passed verification",
+        {**diagnostics, "candidates_tried": attempts, "last": last},
+    )
 
 
 def _rational_schedule(retry_bound: int):
@@ -181,15 +240,8 @@ def _rational_schedule(retry_bound: int):
     Both knobs genuinely matter: growing t rescales kappa, growing g
     widens the m-gaps, and some parameters need gaps comparable to M.
     """
-    total = 2
-    emitted = 0
-    while emitted < retry_bound:
-        for t in range(1, total):
-            yield t, total - t
-            emitted += 1
-            if emitted >= retry_bound:
-                return
-        total += 1
+    sweep = ((t, total - t) for total in count(2) for t in range(1, total))
+    return islice(sweep, max(retry_bound, 0))
 
 
 def _gap_vector(ell: int, gap: int) -> list[int]:
@@ -218,29 +270,22 @@ def deform_rational(
         raise ValueError("kappa must be nonzero")
     base = [p.h[i].a + Fraction(i, p.ell) for i in range(p.ell)]
     D = lcm(kappa.denominator, *(value.denominator for value in base))
-    attempts = 0
-    last: dict | None = None
-    for t, gap in _rational_schedule(retry_bound):
-        attempts += 1
-        M = 1 + t * D
-        m = _gap_vector(p.ell, gap)
-        delta = [(M - 1) * base[i] - m[i] for i in range(p.ell)]
-        remainder = int(sum(delta)) % p.ell
-        m[-1] += remainder
-        delta[-1] -= remainder
-        plan = DeformPlan(m=tuple(m), M=M)
-        p2 = Params.build(
-            KappaMode.rational(M * kappa),
-            [p.h[i].a + delta[i] for i in range(p.ell)],
-        )
-        failure = _candidate_failure(p, p2, n, index_mode)
-        if failure is None:
-            return p2, plan
-        last = {"plan": plan.to_json(), "failure": failure}
-    raise DeformationError(
-        "no deformation candidate passed verification",
-        {"mode": "rational", "candidates_tried": attempts, "last": last},
-    )
+
+    def candidates():
+        for t, gap in _rational_schedule(retry_bound):
+            M = 1 + t * D
+            m = _gap_vector(p.ell, gap)
+            delta = [(M - 1) * base[i] - m[i] for i in range(p.ell)]
+            remainder = int(sum(delta)) % p.ell
+            m[-1] += remainder
+            delta[-1] -= remainder
+            p2 = Params.build(
+                KappaMode.rational(M * kappa),
+                [p.h[i].a + delta[i] for i in range(p.ell)],
+            )
+            yield p2, DeformPlan(m=tuple(m), M=M)
+
+    return _search(p, n, index_mode, candidates(), {"mode": "rational"})
 
 
 def deform_formal(
@@ -257,40 +302,16 @@ def deform_formal(
     """
     if p.mode.is_rational:
         raise ValueError("parameters are not in formal mode")
-    attempts = 0
-    last: dict | None = None
-    for gap in range(1, retry_bound + 1):
-        attempts += 1
-        m = _gap_vector(p.ell, gap)
-        remainder = (-sum(m)) % p.ell
-        m[-1] += remainder
-        plan = DeformPlan(m=tuple(m), kappa_shift=0)
-        p2 = Params(p.mode, tuple(p.h[i] - m[i] for i in range(p.ell)))
-        failure = _candidate_failure(p, p2, n, index_mode)
-        if failure is None:
-            return p2, plan
-        last = {"plan": plan.to_json(), "failure": failure}
-    raise DeformationError(
-        "no deformation candidate passed verification",
-        {
-            "mode": "formal",
-            "candidates_tried": attempts,
-            "index_classes": index_classes(p),
-            "last": last,
-        },
-    )
 
+    def candidates():
+        for gap in range(1, retry_bound + 1):
+            m = _gap_vector(p.ell, gap)
+            m[-1] += (-sum(m)) % p.ell
+            p2 = Params(p.mode, tuple(p.h[i] - m[i] for i in range(p.ell)))
+            yield p2, DeformPlan(m=tuple(m))
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One named certificate check; passed is None for informational entries."""
-
-    name: str
-    passed: bool | None
-    detail: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+    diagnostics = {"mode": "formal", "index_classes": index_classes(p)}
+    return _search(p, n, index_mode, candidates(), diagnostics)
 
 
 @dataclass(frozen=True)
@@ -351,59 +372,19 @@ def localize(p: Params, n: int, options: LocalizeOptions | None = None) -> Certi
     p2, plan = deform(p, n, options.index_mode, options.retry_bound)
     theta = theta_of_p(p2)
 
-    checks = []
-    integral_failure = _integral_difference_failure(p, p2)
-    checks.append(
-        CheckResult("integral_difference", integral_failure is None, integral_failure or {})
-    )
-    violation = verify_preservation(p, p2, n)
-    checks.append(
-        CheckResult(
-            "box_order_preserved",
-            violation is None,
-            {"n": n} if violation is None else violation.to_json(),
-        )
-    )
-    witness = genericity_witness(theta, n, options.index_mode)
-    checks.append(
-        CheckResult(
-            "theta_generic",
-            witness is None,
-            {"index_mode": options.index_mode.value}
-            if witness is None
-            else {"index_mode": options.index_mode.value, "witness": witness.to_json()},
-        )
-    )
+    checks = list(required_checks(p, p2, n, options.index_mode))
     if n <= options.oracle_bound:
-        rel_before = relation_p(OrderInstance(p, n))
-        rel_after = relation_p(OrderInstance(p2, n))
-        checks.append(
-            CheckResult(
-                "order_relation_equal",
-                rel_before.matrix == rel_after.matrix,
-                {"n": n},
-            )
-        )
+        same = relation_p(OrderInstance(p, n)).matrix == relation_p(OrderInstance(p2, n)).matrix
+        checks.append(CheckResult("order_relation_equal", same, {"n": n}))
     else:
-        checks.append(
-            CheckResult(
-                "order_relation_equal", None, {"skipped": f"n > {options.oracle_bound}"}
-            )
-        )
+        skipped = {"skipped": f"n > {options.oracle_bound}"}
+        checks.append(CheckResult("order_relation_equal", None, skipped))
     witnesses = aspherical_witnesses(p, n)
-    checks.append(
-        CheckResult(
-            "spherical",
-            None,
-            {
-                "spherical": not witnesses,
-                "witnesses": [w.to_json() for w in witnesses],
-            },
-        )
-    )
+    spherical = {"spherical": not witnesses, "witnesses": [w.to_json() for w in witnesses]}
+    checks.append(CheckResult("spherical", None, spherical))
 
-    if any(check.passed is False for check in checks):
-        failed = [check.name for check in checks if check.passed is False]
+    failed = [check.name for check in checks if check.passed is False]
+    if failed:
         raise DeformationError(
             "verification failed after deformation",
             {"failed_checks": failed, "plan": plan.to_json()},

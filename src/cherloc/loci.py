@@ -51,6 +51,8 @@ class Stability:
 
     @classmethod
     def from_json(cls, data: dict) -> Stability:
+        if not isinstance(data, dict) or not isinstance(data.get("theta"), list):
+            raise ValueError("theta must be a JSON object with a list theta")
         mode = KappaMode.from_label(data["kappa"])
         return cls(tuple(ParamScalar.from_json(entry, mode) for entry in data["theta"]))
 

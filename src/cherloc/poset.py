@@ -32,26 +32,33 @@ class Relation:
 
     def to_json(self) -> dict:
         return {
-            "labels": [_label_json(label) for label in self.labels],
+            "labels": [label_json(label) for label in self.labels],
             "matrix": [[1 if v else 0 for v in row] for row in self.matrix],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> Relation:
-        labels = tuple(_label_from_json(label) for label in data["labels"])
-        matrix = tuple(tuple(bool(v) for v in row) for row in data["matrix"])
-        return cls(labels, matrix)
+        if not isinstance(data, dict):
+            raise ValueError("a relation must be a JSON object")
+        labels, matrix = data["labels"], data["matrix"]
+        if not isinstance(labels, list):
+            raise ValueError("relation labels must be a list")
+        if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+            raise ValueError("a relation matrix must be a list of rows")
+        return cls(tuple(_label_from_json(label) for label in labels), matrix)
 
 
-def _label_json(label):
+def label_json(label):
     if isinstance(label, tuple):
-        return [_label_json(part) for part in label]
+        return [label_json(part) for part in label]
     return label
 
 
 def _label_from_json(label):
     if isinstance(label, list):
         return tuple(_label_from_json(part) for part in label)
+    if isinstance(label, dict):
+        raise ValueError("a relation label cannot be a JSON object")
     return label
 
 
@@ -210,7 +217,7 @@ def to_dot(rel: Relation) -> str:
     diagram = hasse(rel)
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for idx, label in enumerate(diagram.labels):
-        text = json.dumps(_label_json(label), separators=(",", ":"))
+        text = json.dumps(label_json(label), separators=(",", ":"))
         lines.append(f'  n{idx} [label="{text.replace(chr(34), chr(39))}"];')
     for a in range(diagram.size):
         for b in range(diagram.size):

@@ -19,6 +19,8 @@ _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or 'p' into an exact Fraction."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational: {text!r}")
     text = text.strip()
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational: {text!r}")
@@ -77,7 +79,7 @@ class KappaMode:
 
     @classmethod
     def from_label(cls, text: str) -> KappaMode:
-        if text.strip() == "formal":
+        if isinstance(text, str) and text.strip() == "formal":
             return cls.formal()
         return cls.rational(parse_rational(text))
 
@@ -175,6 +177,8 @@ class ParamScalar:
 
     @classmethod
     def from_json(cls, data: dict, mode: KappaMode) -> ParamScalar:
+        if not isinstance(data, dict):
+            raise ValueError("a scalar must be a JSON object")
         a = parse_rational(data["a"])
         b = parse_rational(data.get("b", "0/1"))
         return cls(a, b, mode)

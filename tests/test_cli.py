@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cherloc.cli import JobSpec, canonical_dumps, main
 
@@ -305,3 +310,177 @@ def test_h_defaults_to_zero_vector(capsys):
     code, out, _ = run_cli(capsys, "order", "--ell", "2", "--n", "1", "--kappa", "1/2")
     assert code == 0
     assert json.loads(out)["matrix"] == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "relation",
+    [
+        {"labels": [[[1]]], "matrix": 5},
+        {"labels": [[[1]]], "matrix": [5]},
+        {"labels": 5, "matrix": [[1]]},
+        [1],
+    ],
+)
+def test_malformed_relation_file_exits_2_with_one_line(capsys, tmp_path, relation):
+    path = tmp_path / "relation.json"
+    path.write_text(json.dumps(relation))
+    code, out, err = run_cli(capsys, "common-refinement", str(path), str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cherloc: ") and err.count("\n") == 1
+
+
+# Fuzz of main.  Each input is well formed (ell <= 3, n <= 4) except for at
+# most one field, which is replaced by a malformed value or dropped.
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.sampled_from(["", "x", "1/2", "ab"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "b", "ell", "kappa", "h"]), inner, max_size=3),
+    max_leaves=6,
+)
+BAD_TEXT = st.sampled_from(["", "x", "-1", "0", "1.5", "1/0", "k", "0.5", "1/2,", "5"])
+KAPPAS = st.sampled_from(["formal", "0", "1", "-1", "1/2", "-2/3", "3/2"])
+COMMANDS = ["enumerate", "order", "spherical", "generic", "theta", "localize"]
+# command -> its flags; ell and n are always present, the rest optional
+FLAGS = {
+    "enumerate": ["ell", "n"],
+    "order": ["ell", "n", "kappa", "h"],
+    "spherical": ["ell", "n", "kappa", "h"],
+    "generic": ["ell", "n", "kappa", "theta", "index-mode"],
+    "theta": ["ell", "kappa", "h"],
+    "localize": ["ell", "n", "kappa", "h", "index-mode", "retry-bound"],
+}
+
+
+def _scalar_text(a, b, formal):
+    return f"{a}{b:+}k" if formal and b else str(a)
+
+
+@st.composite
+def well_formed_fields(draw, command):
+    """Valid values of every field of one command, as strings."""
+    ell = draw(st.integers(1, 3))
+    kappa = draw(KAPPAS)
+    small = st.fractions(min_value=-1, max_value=1, max_denominator=4)
+    vectors = st.lists(st.tuples(small, st.sampled_from([0, 1, -1])), min_size=ell, max_size=ell)
+    values = {
+        "ell": ell,
+        "n": draw(st.integers(0, 4)),
+        "kappa": kappa,
+        "h": [_scalar_text(a, b, kappa == "formal") for a, b in draw(vectors)],
+        "theta": [_scalar_text(a, b, kappa == "formal") for a, b in draw(vectors)],
+        "index-mode": draw(st.sampled_from(["literal", "include-zero"])),
+        "retry-bound": draw(st.integers(0, 3)),
+    }
+    return {name: values[name] for name in FLAGS[command]}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    fields = draw(well_formed_fields(command))
+    broken = draw(st.sampled_from([None, *fields]))
+    argv = [command]
+    for name, value in fields.items():
+        if name == broken:
+            if draw(st.booleans()):
+                continue
+            value = draw(BAD_TEXT)
+        elif isinstance(value, list):
+            value = ",".join(value)
+        argv.append(f"--{name}={value}")
+    return argv
+
+
+@st.composite
+def job_files(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    fields = draw(well_formed_fields(command))
+    mode = fields.get("kappa", "1/2")
+    job = {"command": command, "ell": fields["ell"], "n": fields.get("n")}
+    scalars = [{"a": str(draw(st.fractions(-1, 1, max_denominator=4)))}
+               for _ in range(fields["ell"])]
+    if "h" in fields:
+        job["params"] = {"ell": fields["ell"], "kappa": mode, "h": scalars}
+    if "theta" in fields:
+        job["theta"] = {"kappa": mode, "theta": scalars}
+    options = {"index_mode": fields.get("index-mode", "literal"),
+               "retry_bound": fields.get("retry-bound", 2), "oracle_bound": 2}
+    job["options"] = options
+    target = draw(st.sampled_from([None, "job", "params", "theta", "options"]))
+    where = {"job": job, "options": options}.get(target, job.get(target))
+    if isinstance(where, dict):
+        key = draw(st.sampled_from(sorted(where)))
+        if draw(st.booleans()):
+            del where[key]
+        else:
+            where[key] = draw(JUNK)
+    return job
+
+
+def _assert_exit_contract(code, out, err, wrote_file=False):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("cherloc: ") and err.count("\n") == 1
+    if code == 1:
+        assert out or wrote_file
+
+
+def _main_in(directory, argv):
+    """Run main inside directory; returns the exit code, stdout, stderr and
+    whether main wrote a file there."""
+    before = set(os.listdir(directory))
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    written = set(os.listdir(directory)) != before
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=command_lines())
+def test_fuzzed_command_lines_keep_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    _assert_exit_contract(code, out.getvalue(), err.getvalue())
+
+
+@settings(max_examples=200, deadline=None)
+@given(job=job_files())
+def test_fuzzed_job_files_keep_the_exit_contract(job, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("job")
+    (tmp / "job.json").write_text(json.dumps(job))
+    code, out, err, written = _main_in(tmp, ["job", "job.json"])
+    _assert_exit_contract(code, out, err, written)
+
+
+@st.composite
+def relation_pairs(draw):
+    """Two relation files over one label list, or either of them junk."""
+    labels = draw(st.lists(JUNK, max_size=4, unique_by=json.dumps))
+    k = len(labels)
+    rows = st.lists(st.lists(st.sampled_from([0, 1]), min_size=k, max_size=k),
+                    min_size=k, max_size=k)
+    relation = st.builds(lambda matrix: {"labels": labels, "matrix": matrix}, rows)
+    return [draw(relation | JUNK) for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations=relation_pairs())
+def test_fuzzed_relation_files_keep_the_exit_contract(relations, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("relations")
+    for idx, relation in enumerate(relations):
+        (tmp / f"r{idx}.json").write_text(json.dumps(relation))
+    code, out, err, written = _main_in(tmp, ["common-refinement", "r0.json", "r1.json"])
+    _assert_exit_contract(code, out, err, written)
+

@@ -1,8 +1,11 @@
 import dataclasses
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cherloc import (
     ASSUMED_LEMMAS,
@@ -11,14 +14,18 @@ from cherloc import (
     CheckResult,
     DeformationError,
     DeformPlan,
+    IndexMode,
     KappaMode,
     LocalizeOptions,
     Params,
     PreservationViolation,
+    box_equiv,
+    box_less,
     deform_formal,
     deform_rational,
     index_classes,
     localize,
+    relevant_boxes,
     s_coordinates,
     verify_preservation,
 )
@@ -56,7 +63,7 @@ def test_integer_kappa_takes_the_first_multiplier():
 def test_formal_example_plan_and_parameters():
     p = Params.build(FORMAL, [Fraction(1, 4), Fraction(-1, 4)])
     cert = localize(p, 2)
-    assert cert.plan == DeformPlan(m=(0, 2), kappa_shift=0)
+    assert cert.plan == DeformPlan(m=(0, 2))
     assert cert.plan.M is None
     assert [(s.a, s.b) for s in cert.p_prime.h] == [
         (Fraction(5, 4), 0),
@@ -80,6 +87,18 @@ def test_tight_instance_widens_the_last_gap():
     assert verify_preservation(p, p2, 2) is None
 
 
+# h = (-1/4, 1/4): box (1,1,0) lies below (1,1,1).  Every candidate has
+# m_1 > m_0, so h_1 - m_1 <= h_0 - m_0 - 1/2 and the pair no longer holds.
+BLOCKED_FAILURE = {
+    "check": "box_order_preserved",
+    "b1": [1, 1, 0],
+    "b2": [1, 1, 1],
+    "predicate": "less",
+    "before": True,
+    "after": False,
+}
+
+
 def test_blocked_formal_instance_raises():
     p = Params.build(FORMAL, [Fraction(-1, 4), Fraction(1, 4)])
     with pytest.raises(DeformationError) as info:
@@ -88,8 +107,30 @@ def test_blocked_formal_instance_raises():
     assert sorted(diagnostics) == ["candidates_tried", "index_classes", "last", "mode"]
     assert diagnostics["mode"] == "formal"
     assert diagnostics["candidates_tried"] == 64
-    assert diagnostics["last"]["failure"]["check"] == "box_order_preserved"
+    assert diagnostics["last"]["failure"] == BLOCKED_FAILURE
     assert diagnostics["index_classes"] == [[0, 1]]
+
+
+def test_blocked_benchmark_instance_reports_the_same_pair():
+    # The blocked localize instance of the benchmark: ell = 2, n = 8.
+    p = Params.build(FORMAL, [Fraction(-1, 4), Fraction(1, 4)])
+    with pytest.raises(DeformationError) as info:
+        deform_formal(p, 8)
+    assert info.value.diagnostics["candidates_tried"] == 64
+    assert info.value.diagnostics["last"]["failure"] == BLOCKED_FAILURE
+
+
+def test_search_reports_a_genericity_failure_by_its_witness():
+    p = Params.build(KappaMode.rational(1), [Fraction(1, 4), Fraction(-1, 4)])
+    with pytest.raises(DeformationError) as info:
+        deform_rational(p, 2, IndexMode.INCLUDE_ZERO, retry_bound=2)
+    assert info.value.diagnostics["last"] == {
+        "plan": {"M": 5, "m": [0, 2], "kappa_shift": None},
+        "failure": {
+            "check": "theta_generic",
+            "witness": {"kind": "difference", "i": 0, "j": 1, "m": 0},
+        },
+    }
 
 
 def test_blocked_instance_respects_retry_bound():
@@ -151,6 +192,85 @@ def test_preservation_violation_reports_the_pair():
         before=True,
         after=False,
     )
+
+
+def verify_preservation_pairwise(p, p2, n):
+    """Oracle: box_equiv and box_less evaluated pair by pair with exact scalars.
+
+    Same walk as verify_preservation: b1 outer, b2 inner, equivalence
+    tested before order; returns the first disagreement, or None.
+    """
+    grid = relevant_boxes(p.ell, n)
+    for b1 in grid:
+        for b2 in grid:
+            before, after = box_equiv(p, b1, b2), box_equiv(p2, b1, b2)
+            if before != after:
+                return PreservationViolation(b1, b2, "equiv", before, after)
+            before, after = box_less(p, b1, b2), box_less(p2, b1, b2)
+            if before != after:
+                return PreservationViolation(b1, b2, "less", before, after)
+    return None
+
+
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+# kappa = 0 ties every box of a component, so "<" and "<=" part there.
+KAPPAS = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(1)]) | SMALL
+
+
+@st.composite
+def offsets(draw, ell):
+    """Rational parts of h: arbitrary, or h_i = i/ell + integer so that
+    the components share content classes and cross-component order
+    relations exist to break."""
+    if draw(st.booleans()):
+        return [draw(SMALL) for _ in range(ell)]
+    return [Fraction(i, ell) + draw(st.integers(-2, 2)) for i in range(ell)]
+
+
+@st.composite
+def preservation_cases(draw):
+    ell = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    shifts = [draw(st.integers(-3, 3)) for _ in range(ell)]
+    kind = draw(st.sampled_from(["rational", "formal", "ties", "unrelated"]))
+    if kind == "rational":
+        # kappa' = M*kappa with M = 1 + t*D, as deform_rational builds it:
+        # every content minus i/ell is scaled by M, then shifted by -m_i.
+        kappa = draw(KAPPAS)
+        h = draw(offsets(ell))
+        base = [h[i] + Fraction(i, ell) for i in range(ell)]
+        D = lcm(kappa.denominator, *(value.denominator for value in base))
+        M = 1 + draw(st.integers(0, 3)) * D
+        p = Params.build(KappaMode.rational(kappa), h)
+        p2 = Params.build(
+            KappaMode.rational(M * kappa),
+            [M * base[i] - Fraction(i, ell) - shifts[i] for i in range(ell)],
+        )
+    elif kind == "formal":
+        k_parts = st.sampled_from([0, 1, -1, Fraction(1, 2)])
+        h = [FORMAL.scalar(a, draw(k_parts)) for a in draw(offsets(ell))]
+        p = Params.build(FORMAL, h)
+        p2 = Params.build(FORMAL, [h[i] - shifts[i] for i in range(ell)])
+    elif kind == "ties":
+        # Under kappa = 0 all boxes of a component tie; an integer kappa'
+        # keeps the classes and orders those boxes by their diagonal.
+        h = draw(offsets(ell))
+        p = Params.build(KappaMode.rational(0), h)
+        kappa2 = KappaMode.rational(draw(st.sampled_from([1, -1, 2])))
+        p2 = Params.build(kappa2, [h[i] - shifts[i] for i in range(ell)])
+    else:
+        # Independent parameters, mostly with a different class partition.
+        p = Params.build(KappaMode.rational(draw(KAPPAS)), [draw(SMALL) for _ in range(ell)])
+        mode = draw(st.sampled_from([FORMAL, KappaMode.rational(draw(KAPPAS))]))
+        p2 = Params.build(mode, [draw(SMALL) for _ in range(ell)])
+    return p, p2, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=preservation_cases())
+def test_preservation_from_tables_agrees_with_the_pairwise_oracle(case):
+    p, p2, n = case
+    assert verify_preservation(p, p2, n) == verify_preservation_pairwise(p, p2, n)
 
 
 def test_preservation_is_reflexive():
