@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ from .scalars import KappaMode, parse_scalar
 
 MAX_ELL_DEFAULT = 4
 MAX_N_DEFAULT = 8
-MAX_N_ENV = "CHERLOC_MAX_N"
 
 
 def canonical_dumps(payload) -> str:
@@ -102,18 +100,13 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _guard_sizes(job: JobSpec) -> None:
-    cap = job.max_n
-    if cap is None:
-        env = os.environ.get(MAX_N_ENV)
-        cap = int(env) if env else MAX_N_DEFAULT
+    cap = MAX_N_DEFAULT if job.max_n is None else job.max_n
     ells = [job.ell]
     ells += [source.ell for source in (job.params, job.theta) if source is not None]
     if any(ell is not None and ell > MAX_ELL_DEFAULT for ell in ells):
         raise ValueError(f"ell > {MAX_ELL_DEFAULT} refused by the size guard")
     if job.n is not None and job.n > cap:
-        raise ValueError(
-            f"n > {cap} refused by the size guard ({MAX_N_ENV} or --max-n raises it)"
-        )
+        raise ValueError(f"n > {cap} refused by the size guard (--max-n raises it)")
 
 
 def _run_enumerate(job: JobSpec) -> int:
@@ -129,9 +122,9 @@ def _run_enumerate(job: JobSpec) -> int:
 
 def _run_order(job: JobSpec) -> int:
     rel = relation_p(OrderInstance(job.params, job.n))
-    _emit(canonical_dumps(rel.to_json()), job.out)
     if job.dot is not None:
         _emit(to_dot(rel), job.dot)
+    _emit(canonical_dumps(rel.to_json()), job.out)
     return 0
 
 

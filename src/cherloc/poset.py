@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable
 
 
 @dataclass(frozen=True)
@@ -76,48 +76,85 @@ class RefinementResult:
     cycle: tuple | None
 
 
+def _rows(rel: Relation) -> list[int]:
+    """Each row as an int whose bit b is set when the row relates to label b."""
+    return [sum(1 << b for b, v in enumerate(row) if v) for row in rel.matrix]
+
+
+def _relation(labels: tuple, rows: list[int]) -> Relation:
+    """The Relation whose rows are the given bit rows."""
+    k = len(labels)
+    return Relation(
+        labels, tuple(tuple(c == "1" for c in format(row, f"0{k}b")[::-1]) for row in rows)
+    )
+
+
+def _bits(row: int):
+    """Indices of the set bits of row, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
+def _search(rows: list[int], start: int) -> tuple[int, tuple[int, ...] | None]:
+    """Breadth-first search from start over bit rows.
+
+    Returns the labels reached by paths of length >= 1, as a bit row, and a
+    shortest strict cycle through start (None when start lies on none).
+    Nodes are expanded in discovery order and successors taken lowest index
+    first; the cycle closes at the first node other than start, in that
+    order, with an edge back to start, and follows the parent links to it.
+    """
+    start_bit = 1 << start
+    parent = {start: start}
+    seen, reach, cycle = start_bit, 0, None
+    queue = [start]
+    for node in queue:
+        row = rows[node]
+        reach |= row
+        if cycle is None and node != start and row & start_bit:
+            path = [node]
+            while path[-1] != start:
+                path.append(parent[path[-1]])
+            cycle = tuple(reversed(path))
+        for dst in _bits(row & ~seen):
+            parent[dst] = node
+            queue.append(dst)
+        seen |= row
+    return reach, cycle
+
+
 def transitive_closure(rel: Relation) -> Relation:
-    """Smallest transitive relation containing rel (Warshall)."""
-    k = rel.size
-    m = [list(row) for row in rel.matrix]
-    for mid in range(k):
-        row_mid = m[mid]
-        for src in range(k):
-            if m[src][mid]:
-                row_src = m[src]
-                for dst in range(k):
-                    if row_mid[dst]:
-                        row_src[dst] = True
-    return Relation(rel.labels, tuple(tuple(row) for row in m))
+    """Smallest transitive relation containing rel."""
+    rows = _rows(rel)
+    return _relation(rel.labels, [_search(rows, a)[0] for a in range(rel.size)])
 
 
 def reflexive_closure(rel: Relation) -> Relation:
-    m = [list(row) for row in rel.matrix]
-    for idx in range(rel.size):
-        m[idx][idx] = True
-    return Relation(rel.labels, tuple(tuple(row) for row in m))
+    return _relation(rel.labels, [row | 1 << a for a, row in enumerate(_rows(rel))])
 
 
 def is_partial_order(rel: Relation) -> OrderViolation | None:
-    """None when rel is reflexive, antisymmetric, and transitive."""
-    m = rel.matrix
-    k = rel.size
-    for a in range(k):
-        if not m[a][a]:
-            return OrderViolation("reflexivity", (rel.labels[a],))
-    for a in range(k):
-        for b in range(k):
-            if a != b and m[a][b] and m[b][a]:
-                return OrderViolation("antisymmetry", (rel.labels[a], rel.labels[b]))
-    for a in range(k):
-        for b in range(k):
-            if not m[a][b]:
-                continue
-            for c in range(k):
-                if m[b][c] and not m[a][c]:
-                    return OrderViolation(
-                        "transitivity", (rel.labels[a], rel.labels[b], rel.labels[c])
-                    )
+    """None when rel is reflexive, antisymmetric, and transitive.
+
+    Otherwise the first witness: reflexivity before antisymmetry before
+    transitivity, each at the lowest a, then b, then c.
+    """
+    rows = _rows(rel)
+    labels = rel.labels
+    for a, row in enumerate(rows):
+        if not row >> a & 1:
+            return OrderViolation("reflexivity", (labels[a],))
+    for a, row in enumerate(rows):
+        for b in _bits(row & ~(1 << a)):
+            if rows[b] >> a & 1:
+                return OrderViolation("antisymmetry", (labels[a], labels[b]))
+    for a, row in enumerate(rows):
+        for b in _bits(row):
+            c = next(_bits(rows[b] & ~row), None)
+            if c is not None:
+                return OrderViolation("transitivity", (labels[a], labels[b], labels[c]))
     return None
 
 
@@ -129,65 +166,27 @@ def _require_same_labels(r1: Relation, r2: Relation) -> None:
 def refines(fine: Relation, coarse: Relation) -> bool:
     """Whether every pair related in fine is related in coarse."""
     _require_same_labels(fine, coarse)
-    return all(
-        not a or b
-        for row_f, row_c in zip(fine.matrix, coarse.matrix)
-        for a, b in zip(row_f, row_c)
-    )
-
-
-def _shortest_cycle(labels: Sequence[Hashable], edges: list[list[bool]]) -> tuple:
-    """Shortest strict directed cycle, as a label tuple without the closing repeat."""
-    k = len(labels)
-    best: list[int] | None = None
-    for start in range(k):
-        parent = {start: -1}
-        frontier = [start]
-        found = None
-        while frontier and found is None:
-            nxt = []
-            for node in frontier:
-                for dst in range(k):
-                    if node != dst and edges[node][dst]:
-                        if dst == start:
-                            found = node
-                            break
-                        if dst not in parent:
-                            parent[dst] = node
-                            nxt.append(dst)
-                if found is not None:
-                    break
-            frontier = nxt
-        if found is None:
-            continue
-        path = [found]
-        while path[-1] != start:
-            path.append(parent[path[-1]])
-        path.reverse()
-        if best is None or len(path) < len(best):
-            best = path
-    assert best is not None
-    return tuple(labels[idx] for idx in best)
+    return all(not f & ~c for f, c in zip(_rows(fine), _rows(coarse)))
 
 
 def common_refinement(r1: Relation, r2: Relation) -> RefinementResult:
     """The minimum partial order containing both relations, if one exists.
 
     Returns the reflexive-transitive closure of the union, or the
-    obstruction: a shortest strict cycle of the union.
+    obstruction: a shortest strict cycle of the union, through the
+    lowest-indexed label among the shortest.
     """
     _require_same_labels(r1, r2)
-    k = r1.size
-    union = [
-        [a or b for a, b in zip(row1, row2)]
-        for row1, row2 in zip(r1.matrix, r2.matrix)
-    ]
-    closed = transitive_closure(Relation(r1.labels, tuple(tuple(r) for r in union)))
-    for a in range(k):
-        for b in range(k):
-            if a != b and closed.matrix[a][b] and closed.matrix[b][a]:
-                return RefinementResult(None, _shortest_cycle(r1.labels, union))
-    return RefinementResult(reflexive_closure(closed), None)
+    union = [a | b for a, b in zip(_rows(r1), _rows(r2))]
+    closed, best = [], None
+    for start in range(len(union)):
+        reach, cycle = _search(union, start)
+        closed.append(reach | 1 << start)
+        if cycle is not None and (best is None or len(cycle) < len(best)):
+            best = cycle
+    if best is not None:
+        return RefinementResult(None, tuple(r1.labels[idx] for idx in best))
+    return RefinementResult(_relation(r1.labels, closed), None)
 
 
 def hasse(rel: Relation) -> Relation:
@@ -195,19 +194,14 @@ def hasse(rel: Relation) -> Relation:
     violation = is_partial_order(rel)
     if violation is not None:
         raise ValueError(f"not a partial order: {violation.kind} at {violation.labels}")
-    k = rel.size
-    strict = [
-        [rel.matrix[a][b] and a != b for b in range(k)] for a in range(k)
-    ]
-    reduced = [
-        [
-            strict[a][b]
-            and not any(strict[a][c] and strict[c][b] for c in range(k))
-            for b in range(k)
-        ]
-        for a in range(k)
-    ]
-    return Relation(rel.labels, tuple(tuple(row) for row in reduced))
+    strict = [row & ~(1 << a) for a, row in enumerate(_rows(rel))]
+    reduced = []
+    for row in strict:
+        through = 0
+        for c in _bits(row):
+            through |= strict[c]
+        reduced.append(row & ~through)
+    return _relation(rel.labels, reduced)
 
 
 def to_dot(rel: Relation) -> str:

@@ -229,10 +229,14 @@ def test_size_guard_raised_by_flag(capsys):
     assert json.loads(out)["n"] == 9
 
 
-def test_size_guard_raised_by_env(capsys, monkeypatch):
-    monkeypatch.setenv("CHERLOC_MAX_N", "9")
-    code, _, _ = run_cli(capsys, "enumerate", "--ell", "2", "--n", "9")
+def test_size_guard_raised_by_job_option(capsys, tmp_path):
+    jobfile = tmp_path / "job.json"
+    jobfile.write_text(json.dumps(
+        {"command": "enumerate", "ell": 2, "n": 9, "options": {"max_n": 9}}
+    ))
+    code, out, _ = run_cli(capsys, "job", str(jobfile))
     assert code == 0
+    assert json.loads(out)["n"] == 9
 
 
 def test_size_guard_refuses_large_ell(capsys):
@@ -250,12 +254,14 @@ def test_size_guard_refuses_large_ell(capsys):
         ("common-refinement", "missing-a.json", "missing-b.json"),
         ("job", "no-such-job.json"),
         ("order", "--ell", "1", "--n", "2", "--kappa", "1/0"),
+        ("order", "--ell", "1", "--n", "2", "--kappa", "1/2", "--dot", "no-dir/x.dot"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert err.startswith("cherloc: ") and err.count("\n") == 1
 
 

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cherloc import (
+    OrderViolation,
+    RefinementResult,
     Relation,
     common_refinement,
     hasse,
@@ -54,6 +56,131 @@ def linear_extension(relation):
             visit(node)
     order.reverse()
     return order
+
+
+# The matrix algorithms that the bit-row search replaced, kept as oracles.
+
+
+def closure_warshall(rel):
+    k = rel.size
+    m = [list(row) for row in rel.matrix]
+    for mid in range(k):
+        for src in range(k):
+            if m[src][mid]:
+                for dst in range(k):
+                    if m[mid][dst]:
+                        m[src][dst] = True
+    return Relation(rel.labels, tuple(tuple(row) for row in m))
+
+
+def shortest_cycle_oracle(labels, edges):
+    """Fresh breadth-first search from every label, scanning all k labels per step."""
+    k = len(labels)
+    best = None
+    for start in range(k):
+        parent = {start: -1}
+        frontier = [start]
+        found = None
+        while frontier and found is None:
+            nxt = []
+            for node in frontier:
+                for dst in range(k):
+                    if node != dst and edges[node][dst]:
+                        if dst == start:
+                            found = node
+                            break
+                        if dst not in parent:
+                            parent[dst] = node
+                            nxt.append(dst)
+                if found is not None:
+                    break
+            frontier = nxt
+        if found is None:
+            continue
+        path = [found]
+        while path[-1] != start:
+            path.append(parent[path[-1]])
+        path.reverse()
+        if best is None or len(path) < len(best):
+            best = path
+    return tuple(labels[idx] for idx in best)
+
+
+def common_refinement_oracle(r1, r2):
+    k = r1.size
+    union = [[a or b for a, b in zip(x, y)] for x, y in zip(r1.matrix, r2.matrix)]
+    closed = closure_warshall(Relation(r1.labels, union))
+    for a in range(k):
+        for b in range(k):
+            if a != b and closed.matrix[a][b] and closed.matrix[b][a]:
+                return RefinementResult(None, shortest_cycle_oracle(r1.labels, union))
+    loops = [[v or a == b for b, v in enumerate(row)] for a, row in enumerate(closed.matrix)]
+    return RefinementResult(Relation(r1.labels, loops), None)
+
+
+def is_partial_order_oracle(rel):
+    m, k, labels = rel.matrix, rel.size, rel.labels
+    for a in range(k):
+        if not m[a][a]:
+            return OrderViolation("reflexivity", (labels[a],))
+    for a in range(k):
+        for b in range(k):
+            if a != b and m[a][b] and m[b][a]:
+                return OrderViolation("antisymmetry", (labels[a], labels[b]))
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                if m[a][b] and m[b][c] and not m[a][c]:
+                    return OrderViolation("transitivity", (labels[a], labels[b], labels[c]))
+    return None
+
+
+def hasse_oracle(rel):
+    k = rel.size
+    strict = [[rel.matrix[a][b] and a != b for b in range(k)] for a in range(k)]
+    return Relation(rel.labels, tuple(
+        tuple(
+            strict[a][b] and not any(strict[a][c] and strict[c][b] for c in range(k))
+            for b in range(k)
+        )
+        for a in range(k)
+    ))
+
+
+@st.composite
+def relations(draw, size):
+    density = draw(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.3, 0.5]))
+    loops = draw(st.sampled_from(["none", "all", "random"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    matrix = [[rng.random() < density for _ in range(size)] for _ in range(size)]
+    for a in range(size):
+        matrix[a][a] = {"none": False, "all": True, "random": matrix[a][a]}[loops]
+    return Relation(tuple(range(size)), tuple(tuple(row) for row in matrix))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_poset_algebra_equals_the_matrix_oracles(data):
+    size = data.draw(st.integers(1, 12))
+    r1, r2 = data.draw(relations(size)), data.draw(relations(size))
+    assert common_refinement(r1, r2) == common_refinement_oracle(r1, r2)
+    assert transitive_closure(r1) == closure_warshall(r1)
+    assert reflexive_closure(r1).matrix == tuple(
+        tuple(v or a == b for b, v in enumerate(row)) for a, row in enumerate(r1.matrix)
+    )
+    assert refines(r1, r2) == all(
+        not x or y for row1, row2 in zip(r1.matrix, r2.matrix) for x, y in zip(row1, row2)
+    )
+    order = reflexive_closure(closure_warshall(r1))
+    # a near-order: one entry of a (pre)order flipped
+    a, b = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+    near = [list(row) for row in order.matrix]
+    near[a][b] = not near[a][b]
+    near = Relation(order.labels, near)
+    for candidate in (r1, order, near):
+        assert is_partial_order(candidate) == is_partial_order_oracle(candidate)
+        if is_partial_order_oracle(candidate) is None:
+            assert hasse(candidate) == hasse_oracle(candidate)
 
 
 def test_closure_of_chain_adds_long_edge():
