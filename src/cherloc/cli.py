@@ -47,8 +47,8 @@ class JobSpec:
     theta: Stability | None = None
     inputs: tuple[str, ...] = ()
     index_mode: IndexMode = IndexMode.LITERAL
-    oracle_bound: int = 6
-    retry_bound: int = 64
+    oracle_bound: int = LocalizeOptions.oracle_bound
+    retry_bound: int = LocalizeOptions.retry_bound
     out: str | None = None
     dot: str | None = None
     max_n: int | None = None
@@ -73,8 +73,8 @@ class JobSpec:
             theta=theta,
             inputs=tuple(inputs),
             index_mode=IndexMode(options.get("index_mode", "literal")),
-            oracle_bound=_field(options, "oracle_bound", int, 6),
-            retry_bound=_field(options, "retry_bound", int, 64),
+            oracle_bound=_field(options, "oracle_bound", int, LocalizeOptions.oracle_bound),
+            retry_bound=_field(options, "retry_bound", int, LocalizeOptions.retry_bound),
             out=_field(options, "out", str),
             dot=_field(options, "dot", str),
             max_n=_field(options, "max_n", int),
@@ -155,11 +155,7 @@ def _run_theta(job: JobSpec) -> int:
 
 
 def _run_localize(job: JobSpec) -> int:
-    options = LocalizeOptions(
-        index_mode=job.index_mode,
-        oracle_bound=job.oracle_bound,
-        retry_bound=job.retry_bound,
-    )
+    options = LocalizeOptions(job.index_mode, job.oracle_bound, job.retry_bound)
     try:
         certificate = localize(job.params, job.n, options)
     except DeformationError as err:
@@ -264,8 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("localize", help="deform p and emit a certificate")
     _add_common(sp, "ell", "n", "kappa", "h", "index-mode")
-    sp.add_argument("--oracle-bound", type=int, default=6, dest="oracle_bound")
-    sp.add_argument("--retry-bound", type=int, default=64, dest="retry_bound")
+    sp.add_argument("--oracle-bound", type=int, default=LocalizeOptions.oracle_bound)
+    sp.add_argument("--retry-bound", type=int, default=LocalizeOptions.retry_bound)
 
     sp = sub.add_parser(
         "common-refinement", help="minimum common refinement of two relation files"

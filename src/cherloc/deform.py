@@ -234,6 +234,13 @@ def _search(
     )
 
 
+@dataclass(frozen=True)
+class LocalizeOptions:
+    index_mode: IndexMode = IndexMode.LITERAL
+    oracle_bound: int = 6
+    retry_bound: int = 64
+
+
 def _rational_schedule(retry_bound: int):
     """Diagonal sweep over (t, g): multiplier steps and m-gap scalings.
 
@@ -254,7 +261,7 @@ def deform_rational(
     p: Params,
     n: int,
     index_mode: IndexMode = IndexMode.LITERAL,
-    retry_bound: int = 64,
+    retry_bound: int = LocalizeOptions.retry_bound,
 ) -> tuple[Params, DeformPlan]:
     """Deform rational-kappa parameters: kappa' = M*kappa, h' = h - integers.
 
@@ -292,7 +299,7 @@ def deform_formal(
     p: Params,
     n: int,
     index_mode: IndexMode = IndexMode.LITERAL,
-    retry_bound: int = 64,
+    retry_bound: int = LocalizeOptions.retry_bound,
 ) -> tuple[Params, DeformPlan]:
     """Deform formal-kappa parameters: kappa' = kappa, h' = h - m.
 
@@ -312,13 +319,6 @@ def deform_formal(
 
     diagnostics = {"mode": "formal", "index_classes": index_classes(p)}
     return _search(p, n, index_mode, candidates(), diagnostics)
-
-
-@dataclass(frozen=True)
-class LocalizeOptions:
-    index_mode: IndexMode = IndexMode.LITERAL
-    oracle_bound: int = 6
-    retry_bound: int = 64
 
 
 @dataclass(frozen=True)
@@ -362,8 +362,7 @@ def localize(p: Params, n: int, options: LocalizeOptions | None = None) -> Certi
     Deforms p per its kappa mode, reads theta off the deformed
     parameters, and re-runs every check independently of the retry loop.
     """
-    if options is None:
-        options = LocalizeOptions()
+    options = options or LocalizeOptions()
     if n < 1:
         raise ValueError("need n >= 1")
     if p.mode.is_rational and p.mode.value == 0:
@@ -374,7 +373,7 @@ def localize(p: Params, n: int, options: LocalizeOptions | None = None) -> Certi
 
     checks = list(required_checks(p, p2, n, options.index_mode))
     if n <= options.oracle_bound:
-        same = relation_p(OrderInstance(p, n)).matrix == relation_p(OrderInstance(p2, n)).matrix
+        same = relation_p(OrderInstance(p, n)) == relation_p(OrderInstance(p2, n))
         checks.append(CheckResult("order_relation_equal", same, {"n": n}))
     else:
         skipped = {"skipped": f"n > {options.oracle_bound}"}

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations
 
-from .boxorder import ContentTable, Params, box_leq
+from .boxorder import ContentTable, Params
 from .combinatorics import Multipartition, boxes, enumerate_multipartitions
 from .poset import Relation
 
@@ -98,26 +97,8 @@ def leq_p(inst: OrderInstance, lam: Multipartition, mu: Multipartition) -> bool:
     return all(x < y for x, y in zip(left, right))
 
 
-def leq_p_oracle(
-    inst: OrderInstance, lam: Multipartition, mu: Multipartition, bound: int = 6
-) -> bool:
-    """Exhaustive check over all bijections between the two box sets.
-
-    Only the box predicate is shared with leq_p; the matching algorithm
-    is not involved.
-    """
-    _check_pair(inst, lam, mu)
-    if inst.n > bound:
-        raise ValueError(f"oracle limited to n <= {bound}")
-    left, right = boxes(lam), boxes(mu)
-    return any(
-        all(box_leq(inst.p, a, b) for a, b in zip(left, image))
-        for image in permutations(right)
-    )
-
-
 def relation_p(inst: OrderInstance) -> Relation:
-    """The full order relation as a dense matrix over the canonical labels.
+    """The full order relation over the canonical labels, as bit rows.
 
     leq_p decides the pairs inside one signature group; labels with
     different per-class box counts are never related.
@@ -126,10 +107,8 @@ def relation_p(inst: OrderInstance) -> Relation:
     groups: dict[tuple, list[int]] = {}
     for k, mp in enumerate(labels):
         groups.setdefault(inst.signature(mp), []).append(k)
-    rows = [[False] * len(labels) for _ in labels]
+    rows = [0] * len(labels)
     for members in groups.values():
         for a in members:
-            lam, row = labels[a], rows[a]
-            for b in members:
-                row[b] = leq_p(inst, lam, labels[b])
-    return Relation(tuple(mp.parts for mp in labels), tuple(map(tuple, rows)))
+            rows[a] = sum(1 << b for b in members if leq_p(inst, labels[a], labels[b]))
+    return Relation(tuple(mp.parts for mp in labels), rows)

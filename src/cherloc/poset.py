@@ -8,32 +8,46 @@ from typing import Hashable
 
 @dataclass(frozen=True)
 class Relation:
-    """A dense boolean matrix over an ordered tuple of opaque labels."""
+    """A relation over an ordered tuple of opaque labels, held as bit rows.
+
+    Bit b of rows[a] is set when label a relates to label b; a row may also
+    be given as k truth values.  matrix, the per-entry form, is derived.
+    """
 
     labels: tuple[Hashable, ...]
-    matrix: tuple[tuple[bool, ...], ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        matrix = tuple(tuple(bool(v) for v in row) for row in self.matrix)
-        if len(matrix) != len(labels) or any(len(row) != len(labels) for row in matrix):
+        labels, rows = tuple(self.labels), tuple(self.rows)
+        k = len(labels)
+        if len(rows) != k or any(
+            not 0 <= row < 1 << k if isinstance(row, int) else len(row) != k for row in rows
+        ):
             raise ValueError("matrix shape must match the label count")
-        if len(set(labels)) != len(labels):
+        if len(set(labels)) != k:
             raise ValueError("labels must be unique")
+        rows = tuple(
+            row if isinstance(row, int) else sum(1 << b for b, v in enumerate(row) if v)
+            for row in rows
+        )
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
+    @property
+    def matrix(self) -> tuple[tuple[bool, ...], ...]:
+        return tuple(tuple(map(bool, _entries(row, self.size))) for row in self.rows)
+
     def holds(self, a: Hashable, b: Hashable) -> bool:
-        return self.matrix[self.labels.index(a)][self.labels.index(b)]
+        return bool(self.rows[self.labels.index(a)] >> self.labels.index(b) & 1)
 
     def to_json(self) -> dict:
         return {
             "labels": [label_json(label) for label in self.labels],
-            "matrix": [[1 if v else 0 for v in row] for row in self.matrix],
+            "matrix": [list(_entries(row, self.size)) for row in self.rows],
         }
 
     @classmethod
@@ -45,7 +59,17 @@ class Relation:
             raise ValueError("relation labels must be a list")
         if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
             raise ValueError("a relation matrix must be a list of rows")
+        if not all({*map(type, row)} <= {int, bool} and {*row} <= {0, 1} for row in matrix):
+            raise ValueError("relation matrix entries must be 0, 1, true or false")
         return cls(tuple(_label_from_json(label) for label in labels), matrix)
+
+
+_ENTRY = bytes.maketrans(b"01", b"\0\1")
+
+
+def _entries(row: int, k: int) -> bytes:
+    """The k entries of a bit row as bytes 0 and 1, label 0 first."""
+    return format(row, f"0{k}b").encode()[::-1].translate(_ENTRY)
 
 
 def label_json(label):
@@ -74,19 +98,6 @@ class OrderViolation:
 class RefinementResult:
     order: Relation | None
     cycle: tuple | None
-
-
-def _rows(rel: Relation) -> list[int]:
-    """Each row as an int whose bit b is set when the row relates to label b."""
-    return [sum(1 << b for b, v in enumerate(row) if v) for row in rel.matrix]
-
-
-def _relation(labels: tuple, rows: list[int]) -> Relation:
-    """The Relation whose rows are the given bit rows."""
-    k = len(labels)
-    return Relation(
-        labels, tuple(tuple(c == "1" for c in format(row, f"0{k}b")[::-1]) for row in rows)
-    )
 
 
 def _bits(row: int):
@@ -127,12 +138,11 @@ def _search(rows: list[int], start: int) -> tuple[int, tuple[int, ...] | None]:
 
 def transitive_closure(rel: Relation) -> Relation:
     """Smallest transitive relation containing rel."""
-    rows = _rows(rel)
-    return _relation(rel.labels, [_search(rows, a)[0] for a in range(rel.size)])
+    return Relation(rel.labels, [_search(rel.rows, a)[0] for a in range(rel.size)])
 
 
 def reflexive_closure(rel: Relation) -> Relation:
-    return _relation(rel.labels, [row | 1 << a for a, row in enumerate(_rows(rel))])
+    return Relation(rel.labels, [row | 1 << a for a, row in enumerate(rel.rows)])
 
 
 def is_partial_order(rel: Relation) -> OrderViolation | None:
@@ -141,8 +151,7 @@ def is_partial_order(rel: Relation) -> OrderViolation | None:
     Otherwise the first witness: reflexivity before antisymmetry before
     transitivity, each at the lowest a, then b, then c.
     """
-    rows = _rows(rel)
-    labels = rel.labels
+    rows, labels = rel.rows, rel.labels
     for a, row in enumerate(rows):
         if not row >> a & 1:
             return OrderViolation("reflexivity", (labels[a],))
@@ -166,7 +175,7 @@ def _require_same_labels(r1: Relation, r2: Relation) -> None:
 def refines(fine: Relation, coarse: Relation) -> bool:
     """Whether every pair related in fine is related in coarse."""
     _require_same_labels(fine, coarse)
-    return all(not f & ~c for f, c in zip(_rows(fine), _rows(coarse)))
+    return all(not f & ~c for f, c in zip(fine.rows, coarse.rows))
 
 
 def common_refinement(r1: Relation, r2: Relation) -> RefinementResult:
@@ -177,7 +186,7 @@ def common_refinement(r1: Relation, r2: Relation) -> RefinementResult:
     lowest-indexed label among the shortest.
     """
     _require_same_labels(r1, r2)
-    union = [a | b for a, b in zip(_rows(r1), _rows(r2))]
+    union = [a | b for a, b in zip(r1.rows, r2.rows)]
     closed, best = [], None
     for start in range(len(union)):
         reach, cycle = _search(union, start)
@@ -186,7 +195,7 @@ def common_refinement(r1: Relation, r2: Relation) -> RefinementResult:
             best = cycle
     if best is not None:
         return RefinementResult(None, tuple(r1.labels[idx] for idx in best))
-    return RefinementResult(_relation(r1.labels, closed), None)
+    return RefinementResult(Relation(r1.labels, closed), None)
 
 
 def hasse(rel: Relation) -> Relation:
@@ -194,14 +203,14 @@ def hasse(rel: Relation) -> Relation:
     violation = is_partial_order(rel)
     if violation is not None:
         raise ValueError(f"not a partial order: {violation.kind} at {violation.labels}")
-    strict = [row & ~(1 << a) for a, row in enumerate(_rows(rel))]
+    strict = [row & ~(1 << a) for a, row in enumerate(rel.rows)]
     reduced = []
     for row in strict:
         through = 0
         for c in _bits(row):
             through |= strict[c]
         reduced.append(row & ~through)
-    return _relation(rel.labels, reduced)
+    return Relation(rel.labels, reduced)
 
 
 def to_dot(rel: Relation) -> str:
@@ -213,9 +222,7 @@ def to_dot(rel: Relation) -> str:
     for idx, label in enumerate(diagram.labels):
         text = json.dumps(label_json(label), separators=(",", ":"))
         lines.append(f'  n{idx} [label="{text.replace(chr(34), chr(39))}"];')
-    for a in range(diagram.size):
-        for b in range(diagram.size):
-            if diagram.matrix[a][b]:
-                lines.append(f"  n{a} -> n{b};")
+    for a, row in enumerate(diagram.rows):
+        lines.extend(f"  n{a} -> n{b};" for b in _bits(row))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -26,13 +26,14 @@ from cherloc import (
     Stability,
     aspherical_witnesses,
     box_equiv,
+    box_leq,
     box_less,
+    boxes,
     common_refinement,
     genericity_witness,
     is_N_in_bound,
     is_partial_order,
     leq_p,
-    leq_p_oracle,
     localize,
     refines,
     relation_p,
@@ -74,6 +75,25 @@ def parameter_suite() -> list[Params]:
         suite.append(Params.build(formal, h))
     suite.append(Params.build(formal, H_BY_ELL[3][0]))
     return suite
+
+
+def leq_p_oracle(inst, lam, mu, bound=6):
+    """Exhaustive check over all bijections between the two box sets.
+
+    Only the box predicate is shared with leq_p; the matching algorithm
+    is not involved.  The box predicate is tabulated once per pair.
+    """
+    if lam.ell != inst.ell or mu.ell != inst.ell:
+        raise ValueError("multipartition has the wrong number of components")
+    if lam.n != inst.n or mu.n != inst.n:
+        raise ValueError("multipartition has the wrong size")
+    if inst.n > bound:
+        raise ValueError(f"oracle limited to n <= {bound}")
+    below = [[box_leq(inst.p, a, b) for b in boxes(mu)] for a in boxes(lam)]
+    return any(
+        all(below[a][b] for a, b in enumerate(image))
+        for image in itertools.permutations(range(len(below)))
+    )
 
 
 def test_criterion_1_matching_oracle_equivalence():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cherloc.cli import JobSpec, canonical_dumps, main
+from cherloc import LocalizeOptions
+from cherloc.cli import JobSpec, _build_parser, _job_from_args, canonical_dumps, main
 
 P2_OF_2 = [
     [[2], []],
@@ -216,6 +217,21 @@ def test_jobspec_from_json_defaults():
     assert job.index_mode.value == "literal"
 
 
+def test_localize_jobs_carry_the_localize_defaults():
+    from_flags = _job_from_args(
+        _build_parser().parse_args(["localize", "--ell", "1", "--n", "2", "--kappa", "1/2"])
+    )
+    from_file = JobSpec.from_json({
+        "command": "localize",
+        "ell": 1,
+        "n": 2,
+        "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}]},
+    })
+    defaults = LocalizeOptions()
+    for job in (from_flags, from_file):
+        assert LocalizeOptions(job.index_mode, job.oracle_bound, job.retry_bound) == defaults
+
+
 def test_size_guard_refuses_large_n(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--ell", "2", "--n", "9")
     assert code == 2
@@ -325,6 +341,8 @@ def test_h_defaults_to_zero_vector(capsys):
         {"labels": [[[1]]], "matrix": [5]},
         {"labels": 5, "matrix": [[1]]},
         [1],
+        {"labels": [1, 2], "matrix": [[1, "0"], [0, 1]]},
+        {"labels": [1, 2], "matrix": [[1, 2], [0, 1]]},
     ],
 )
 def test_malformed_relation_file_exits_2_with_one_line(capsys, tmp_path, relation):

@@ -15,10 +15,10 @@ from cherloc import (
     content_class_key,
     is_partial_order,
     leq_p,
-    leq_p_oracle,
     relation_p,
     transitive_closure,
 )
+from test_acceptance import leq_p_oracle
 
 HALF = KappaMode.rational(Fraction(1, 2))
 FORMAL = KappaMode.formal()

@@ -16,6 +16,7 @@ from cherloc import (
     to_dot,
     transitive_closure,
 )
+from cherloc.poset import label_json
 
 
 def rel(labels, pairs, reflexive=True):
@@ -181,6 +182,45 @@ def test_poset_algebra_equals_the_matrix_oracles(data):
         assert is_partial_order(candidate) == is_partial_order_oracle(candidate)
         if is_partial_order_oracle(candidate) is None:
             assert hasse(candidate) == hasse_oracle(candidate)
+
+
+def to_json_per_entry(labels, matrix):
+    """The writer of the per-entry matrix that Relation.to_json replaced."""
+    return {
+        "labels": [label_json(label) for label in labels],
+        "matrix": [[1 if v else 0 for v in row] for row in matrix],
+    }
+
+
+LABELS = st.one_of(
+    st.integers(-3, 40), st.text(max_size=2), st.tuples(st.integers(0, 2), st.text(max_size=1))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bit_rows_are_the_matrix_packed(data):
+    size = data.draw(st.integers(0, 12))
+    labels = tuple(data.draw(st.lists(LABELS, min_size=size, max_size=size, unique=True)))
+    matrix = data.draw(
+        st.lists(st.lists(st.booleans(), min_size=size, max_size=size),
+                 min_size=size, max_size=size)
+    )
+    packed = [sum(2**b for b in range(size) if row[b]) for row in matrix]
+    rel = Relation(labels, matrix)
+    assert rel == Relation(labels, packed)
+    assert rel.rows == tuple(packed)
+    assert rel.matrix == tuple(map(tuple, matrix))
+    assert rel.to_json() == to_json_per_entry(labels, matrix)
+    assert Relation.from_json(rel.to_json()) == rel
+    if size:
+        a = data.draw(st.integers(0, size - 1))
+        for bad in (-1, 2**size, packed[a] | 2**size):
+            with pytest.raises(ValueError):
+                Relation(labels, packed[:a] + [bad] + packed[a + 1:])
+        for bad in (matrix[a] + [False], matrix[a][1:]):
+            with pytest.raises(ValueError):
+                Relation(labels, matrix[:a] + [bad] + matrix[a + 1:])
 
 
 def test_closure_of_chain_adds_long_edge():
