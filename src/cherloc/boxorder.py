@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .combinatorics import Box, relevant_boxes
-from .scalars import KappaMode, ParamScalar, RationalLike, Sign
+from .scalars import KappaMode, ParamScalar, RationalLike
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,11 @@ def box_equiv(p: Params, b1: Box, b2: Box) -> bool:
 
 
 def box_less(p: Params, b1: Box, b2: Box) -> bool:
-    """Strict order: comparable boxes whose content difference is negative."""
-    if not box_equiv(p, b1, b2):
-        return False
-    return (cont(p, b1) - cont(p, b2)).rational_sign() is Sign.NEGATIVE
+    """Strict order: comparable boxes whose content difference is negative.
+
+    Comparability forces the kappa part of the difference to vanish.
+    """
+    return box_equiv(p, b1, b2) and (cont(p, b1) - cont(p, b2)).a < 0
 
 
 def box_leq(p: Params, b1: Box, b2: Box) -> bool:
@@ -114,9 +115,6 @@ def content_class_key(p: Params, box: Box):
     return (shifted.b, shifted.a % 1)
 
 
-ClassId = tuple[Fraction, int]
-
-
 @dataclass(frozen=True)
 class ContentTable:
     """The contents of relevant_boxes(ell, n), compiled to exact integers.
@@ -124,17 +122,20 @@ class ContentTable:
     Every content is scaled by one common denominator D = lcm(ell, the
     denominator of kappa, the denominators of the h_i), so D*a is an
     integer for the rational part a of each content.  A box maps to
-    (class id, D*a), where the class id is (kappa coefficient,
-    (D*a - (D/ell)*i) mod D): the same partition as content_class_key.
-    Inside one class, b1 < b2 exactly when D*a(b1) < D*a(b2), since the
-    kappa coefficients agree there.  Equal contents inside one class
-    force the same component: (D/ell)*(i - i') is then a multiple of D,
-    and |i - i'| < ell leaves only i = i'.  So no tie between components
-    ever has to be broken.
+    (class id, D*a).  The class id is the integer K*D + (D*a - (D/ell)*i)
+    mod D, where K is the kappa coefficient times E, the lcm of the
+    denominators of the kappa parts of the h_i (K = 0 in rational mode).
+    The residue is below D, so the id is injective in (K, residue) and
+    keeps its order; the ids give the same partition as
+    content_class_key.  Inside one class, b1 < b2 exactly when
+    D*a(b1) < D*a(b2), since the kappa coefficients agree there.  Equal
+    contents inside one class force the same component: (D/ell)*(i - i')
+    is then a multiple of D, and |i - i'| < ell leaves only i = i'.  So
+    no tie between components ever has to be broken.
     """
 
     denominator: int
-    entries: dict[Box, tuple[ClassId, int]]
+    entries: dict[Box, tuple[int, int]]
 
     @classmethod
     def compile(cls, p: Params, n: int) -> ContentTable:
@@ -148,10 +149,12 @@ class ContentTable:
         step = D // p.ell
         base = [int(entry.a * D) for entry in p.h]
         slope = 0 if kappa is None else int(kappa * D)
+        E = lcm(*(entry.b.denominator for entry in p.h))
+        kappa_base = [int(entry.b * E) for entry in p.h]
         entries = {}
         for box in relevant_boxes(p.ell, n) if n else ():
             diagonal = box.y - box.x
             content = base[box.i] + slope * diagonal
-            kappa_part = p.h[box.i].b + diagonal if kappa is None else Fraction(0)
-            entries[box] = ((kappa_part, (content - step * box.i) % D), content)
+            kappa_part = kappa_base[box.i] + E * diagonal if kappa is None else 0
+            entries[box] = (kappa_part * D + (content - step * box.i) % D, content)
         return cls(D, entries)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .boxorder import Params
@@ -109,122 +110,117 @@ def _guard_sizes(job: JobSpec) -> None:
         raise ValueError(f"n > {cap} refused by the size guard (--max-n raises it)")
 
 
-def _run_enumerate(job: JobSpec) -> int:
+def _run_enumerate(job: JobSpec) -> tuple[dict, int]:
     labels = enumerate_multipartitions(job.ell, job.n)
-    artifact = {
-        "ell": job.ell,
-        "n": job.n,
-        "labels": [mp.to_json() for mp in labels],
-    }
-    _emit(canonical_dumps(artifact), job.out)
-    return 0
+    return {"ell": job.ell, "n": job.n, "labels": [mp.to_json() for mp in labels]}, 0
 
 
-def _run_order(job: JobSpec) -> int:
+def _run_order(job: JobSpec) -> tuple[dict, int]:
     rel = relation_p(OrderInstance(job.params, job.n))
     if job.dot is not None:
         _emit(to_dot(rel), job.dot)
-    _emit(canonical_dumps(rel.to_json()), job.out)
-    return 0
+    return rel.to_json(), 0
 
 
-def _run_spherical(job: JobSpec) -> int:
+def _run_spherical(job: JobSpec) -> tuple[dict, int]:
     witnesses = aspherical_witnesses(job.params, job.n)
-    artifact = {
-        "spherical": not witnesses,
-        "witnesses": [w.to_json() for w in witnesses],
-    }
-    _emit(canonical_dumps(artifact), job.out)
-    return 0 if not witnesses else 1
+    artifact = {"spherical": not witnesses, "witnesses": [w.to_json() for w in witnesses]}
+    return artifact, 0 if not witnesses else 1
 
 
-def _run_generic(job: JobSpec) -> int:
+def _run_generic(job: JobSpec) -> tuple[dict, int]:
     witness = genericity_witness(job.theta, job.n, job.index_mode)
     artifact = {
         "generic": witness is None,
         "index_mode": job.index_mode.value,
         "witness": None if witness is None else witness.to_json(),
     }
-    _emit(canonical_dumps(artifact), job.out)
-    return 0 if witness is None else 1
+    return artifact, 0 if witness is None else 1
 
 
-def _run_theta(job: JobSpec) -> int:
-    _emit(canonical_dumps(theta_of_p(job.params).to_json()), job.out)
-    return 0
+def _run_theta(job: JobSpec) -> tuple[dict, int]:
+    return theta_of_p(job.params).to_json(), 0
 
 
-def _run_localize(job: JobSpec) -> int:
+def _run_localize(job: JobSpec) -> tuple[dict, int]:
     options = LocalizeOptions(job.index_mode, job.oracle_bound, job.retry_bound)
     try:
-        certificate = localize(job.params, job.n, options)
+        return localize(job.params, job.n, options).to_json(), 0
     except DeformationError as err:
-        artifact = {"failed": "deformation", **err.diagnostics}
-        _emit(canonical_dumps(artifact), job.out)
-        return 1
-    _emit(canonical_dumps(certificate.to_json()), job.out)
-    return 0
+        return {"failed": "deformation", **err.diagnostics}, 1
 
 
-def _run_common_refinement(job: JobSpec) -> int:
+def _run_common_refinement(job: JobSpec) -> tuple[dict, int]:
     relations = []
     for path in job.inputs:
         with open(path, encoding="utf-8") as handle:
             relations.append(Relation.from_json(json.load(handle)))
     result = common_refinement(*relations)
     if result.order is not None:
-        _emit(canonical_dumps(result.order.to_json()), job.out)
-        return 0
-    artifact = {"cycle": [label_json(label) for label in result.cycle]}
-    _emit(canonical_dumps(artifact), job.out)
-    return 1
+        return result.order.to_json(), 0
+    return {"cycle": [label_json(label) for label in result.cycle]}, 1
 
 
-# command -> (handler, the JobSpec fields it reads)
-_HANDLERS = {
-    "enumerate": (_run_enumerate, ("ell", "n")),
-    "order": (_run_order, ("n", "params")),
-    "spherical": (_run_spherical, ("n", "params")),
-    "generic": (_run_generic, ("n", "theta")),
-    "theta": (_run_theta, ("params",)),
-    "localize": (_run_localize, ("n", "params")),
-    "common-refinement": (_run_common_refinement, ("inputs",)),
+# Every argument a subcommand may take -> its add_argument keywords.
+_ARGUMENTS = {
+    "--ell": {"type": int, "required": True},
+    "--n": {"type": int, "required": True},
+    "--kappa": {"required": True, "help": "rational like 1/2, or 'formal'"},
+    "--h": {"help": "comma list of scalars, e.g. 1/4,-1/4 or 0,1/2k"},
+    "--theta": {"required": True, "help": "comma list of scalars"},
+    "--index-mode": {"choices": [m.value for m in IndexMode], "default": IndexMode.LITERAL.value},
+    "--out": {"help": "write the JSON artifact here instead of stdout"},
+    "--max-n": {"type": int, "help": "raise the size guard"},
+    "--dot": {"help": "also write the Hasse diagram as DOT"},
+    "--oracle-bound": {"type": int, "default": LocalizeOptions.oracle_bound},
+    "--retry-bound": {"type": int, "default": LocalizeOptions.retry_bound},
+    "inputs": {"nargs": 2, "metavar": "RELATION_JSON"},
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: help, handler returning (artifact, exit code), required
+    JobSpec fields, and arguments in the order argparse reports them missing."""
+
+    help: str
+    handler: Callable[[JobSpec], tuple[dict, int]]
+    required: tuple[str, ...]
+    arguments: str
+
+
+COMMANDS = {
+    "enumerate": Command("list all multipartitions of n", _run_enumerate, ("ell", "n"),
+                         "--ell --n --out --max-n"),
+    "order": Command("compute the order relation on multipartitions", _run_order,
+                     ("n", "params"), "--ell --n --kappa --h --out --max-n --dot"),
+    "spherical": Command("list aspherical hyperplanes through p", _run_spherical,
+                         ("n", "params"), "--ell --n --kappa --h --out --max-n"),
+    "generic": Command("check genericity of a stability vector", _run_generic, ("n", "theta"),
+                       "--ell --n --kappa --theta --index-mode --out --max-n"),
+    "theta": Command("read the stability vector off p", _run_theta, ("params",),
+                     "--ell --kappa --h --out"),
+    "localize": Command("deform p and emit a certificate", _run_localize, ("n", "params"),
+                        "--ell --n --kappa --h --index-mode --out --max-n "
+                        "--oracle-bound --retry-bound"),
+    "common-refinement": Command("minimum common refinement of two relation files",
+                                 _run_common_refinement, ("inputs",), "inputs --out"),
 }
 
 
 def run(job: JobSpec) -> int:
-    if job.command not in _HANDLERS:
+    if job.command not in COMMANDS:
         raise ValueError(f"unknown command: {job.command}")
-    handler, required = _HANDLERS[job.command]
-    missing = [name for name in required if getattr(job, name) in (None, ())]
+    command = COMMANDS[job.command]
+    missing = [name for name in command.required if getattr(job, name) in (None, ())]
     if missing:
         raise ValueError(f"{job.command} needs {', '.join(missing)}")
     if job.command == "common-refinement" and len(job.inputs) != 2:
         raise ValueError("common-refinement needs two relation files")
     _guard_sizes(job)
-    return handler(job)
-
-
-def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    if "ell" in names:
-        parser.add_argument("--ell", type=int, required=True)
-    if "n" in names:
-        parser.add_argument("--n", type=int, required=True)
-    if "kappa" in names:
-        parser.add_argument("--kappa", required=True, help="rational like 1/2, or 'formal'")
-    if "h" in names:
-        parser.add_argument("--h", help="comma list of scalars, e.g. 1/4,-1/4 or 0,1/2k")
-    if "theta" in names:
-        parser.add_argument("--theta", required=True, help="comma list of scalars")
-    if "index-mode" in names:
-        parser.add_argument(
-            "--index-mode",
-            choices=[mode.value for mode in IndexMode],
-            default=IndexMode.LITERAL.value,
-            dest="index_mode",
-        )
-    parser.add_argument("--out", help="write the JSON artifact here instead of stdout")
-    parser.add_argument("--max-n", type=int, dest="max_n", help="raise the size guard")
+    artifact, code = command.handler(job)
+    _emit(canonical_dumps(artifact), job.out)
+    return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -241,69 +237,36 @@ def _build_parser() -> argparse.ArgumentParser:
         "deformation certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("enumerate", help="list all multipartitions of n")
-    _add_common(sp, "ell", "n")
-
-    sp = sub.add_parser("order", help="compute the order relation on multipartitions")
-    _add_common(sp, "ell", "n", "kappa", "h")
-    sp.add_argument("--dot", help="also write the Hasse diagram as DOT")
-
-    sp = sub.add_parser("spherical", help="list aspherical hyperplanes through p")
-    _add_common(sp, "ell", "n", "kappa", "h")
-
-    sp = sub.add_parser("generic", help="check genericity of a stability vector")
-    _add_common(sp, "ell", "n", "kappa", "theta", "index-mode")
-
-    sp = sub.add_parser("theta", help="read the stability vector off p")
-    _add_common(sp, "ell", "kappa", "h")
-
-    sp = sub.add_parser("localize", help="deform p and emit a certificate")
-    _add_common(sp, "ell", "n", "kappa", "h", "index-mode")
-    sp.add_argument("--oracle-bound", type=int, default=LocalizeOptions.oracle_bound)
-    sp.add_argument("--retry-bound", type=int, default=LocalizeOptions.retry_bound)
-
-    sp = sub.add_parser(
-        "common-refinement", help="minimum common refinement of two relation files"
-    )
-    sp.add_argument("inputs", nargs=2, metavar="RELATION_JSON")
-    sp.add_argument("--out")
-    sp.add_argument("--max-n", type=int, dest="max_n")
-
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for argument in command.arguments.split():
+            sp.add_argument(argument, **_ARGUMENTS[argument])
     sp = sub.add_parser("job", help="run a JobSpec JSON file")
     sp.add_argument("jobfile")
-
     return parser
 
 
-def _params_from_args(args: argparse.Namespace) -> Params:
-    mode = KappaMode.from_label(args.kappa)
-    if args.h:
-        entries = [parse_scalar(chunk, mode) for chunk in args.h.split(",")]
+def _scalars(text: str | None, flag: str, mode: KappaMode, ell: int) -> tuple:
+    """The comma list of --flag, of length ell; an omitted or empty --h is all zeros."""
+    if flag == "h" and not text:
+        entries = [mode.zero()] * ell
     else:
-        entries = [mode.zero()] * args.ell
-    if len(entries) != args.ell:
-        raise ValueError("--h length must equal --ell")
-    return Params(mode, tuple(entries))
+        entries = [parse_scalar(chunk, mode) for chunk in text.split(",")]
+    if len(entries) != ell:
+        raise ValueError(f"--{flag} length must equal --ell")
+    return tuple(entries)
 
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    job = JobSpec(command=args.command)
-    for name in ("ell", "n", "oracle_bound", "retry_bound", "out", "dot", "max_n"):
-        if hasattr(args, name):
-            setattr(job, name, getattr(args, name))
-    if hasattr(args, "index_mode"):
-        job.index_mode = IndexMode(args.index_mode)
-    if hasattr(args, "kappa") and hasattr(args, "h"):
-        job.params = _params_from_args(args)
-    if hasattr(args, "theta"):
+    job = JobSpec(**{k: v for k, v in vars(args).items() if k not in ("kappa", "h", "theta")})
+    job.index_mode = IndexMode(job.index_mode)
+    job.inputs = tuple(job.inputs)
+    if hasattr(args, "kappa"):
         mode = KappaMode.from_label(args.kappa)
-        entries = [parse_scalar(chunk, mode) for chunk in args.theta.split(",")]
-        if len(entries) != args.ell:
-            raise ValueError("--theta length must equal --ell")
-        job.theta = Stability(tuple(entries))
-    if hasattr(args, "inputs"):
-        job.inputs = tuple(args.inputs)
+        if hasattr(args, "h"):
+            job.params = Params(mode, _scalars(args.h, "h", mode, args.ell))
+        else:
+            job.theta = Stability(_scalars(args.theta, "theta", mode, args.ell))
     return job
 
 

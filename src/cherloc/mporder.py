@@ -37,7 +37,7 @@ class OrderInstance:
     p: Params
     n: int
     labels: tuple[Multipartition, ...] = field(init=False)
-    # box id -> class rank * span + content - lowest content: sorting these
+    # box id -> class id * span + content - lowest content: sorting these
     # groups boxes by class, and by content inside a class.
     _keys: list[int] = field(init=False, repr=False)
     _compiled: dict[Multipartition, _CompiledLabel] = field(init=False, repr=False)
@@ -48,24 +48,22 @@ class OrderInstance:
         self.labels = tuple(enumerate_multipartitions(self.p.ell, self.n))
         entries = ContentTable.compile(self.p, self.n).entries
         box_ids = {box: k for k, box in enumerate(entries)}
-        class_ids = sorted({cid for cid, _ in entries.values()})
-        class_rank = {cid: r for r, cid in enumerate(class_ids)}
         contents = [content for _, content in entries.values()]
         low = min(contents, default=0)
         span = max(contents, default=0) - low + 1
-        self._keys = [class_rank[cid] * span + content - low for cid, content in entries.values()]
+        self._keys = [cid * span + content - low for cid, content in entries.values()]
         self._compiled = {}
         for mp in self.labels:
             ids = [box_ids[box] for box in boxes(mp)]
-            ranks = Counter(self._keys[k] // span for k in ids)
-            self._compiled[mp] = _CompiledLabel(frozenset(ids), tuple(sorted(ranks.items())))
+            classes = Counter(self._keys[k] // span for k in ids)
+            self._compiled[mp] = _CompiledLabel(frozenset(ids), tuple(sorted(classes.items())))
 
     @property
     def ell(self) -> int:
         return self.p.ell
 
     def signature(self, mp: Multipartition) -> tuple[tuple[int, int], ...]:
-        """(class rank, box count) for every class mp has boxes in."""
+        """(class id, box count) for every class mp has boxes in."""
         return self._compiled_label(mp).signature
 
     def _compiled_label(self, mp: Multipartition) -> _CompiledLabel:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 RationalLike = int | Fraction
@@ -34,13 +33,6 @@ def format_rational(value: RationalLike) -> str:
     """Canonical 'num/den' string: den > 0, gcd(num, den) = 1, zero is '0/1'."""
     value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
-
-
-class Sign(Enum):
-    NEGATIVE = "negative"
-    ZERO = "zero"
-    POSITIVE = "positive"
-    NOT_RATIONAL = "not-rational"
 
 
 @dataclass(frozen=True)
@@ -159,16 +151,6 @@ class ParamScalar:
         if self.b != 0:
             return False
         return (self.a - Fraction(offset)).denominator == 1
-
-    def rational_sign(self) -> Sign:
-        """Sign of the scalar, or NOT_RATIONAL when it has a kappa part."""
-        if self.b != 0:
-            return Sign.NOT_RATIONAL
-        if self.a < 0:
-            return Sign.NEGATIVE
-        if self.a > 0:
-            return Sign.POSITIVE
-        return Sign.ZERO
 
     def to_json(self) -> dict:
         if self.mode.is_rational:

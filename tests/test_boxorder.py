@@ -149,12 +149,15 @@ def test_content_table_agrees_with_the_box_predicates():
         assert list(table.entries) == grid
         for a in grid:
             class_a, content_a = table.entries[a]
-            assert isinstance(content_a, int)
+            assert isinstance(class_a, int) and isinstance(content_a, int)
             assert Fraction(content_a, table.denominator) == cont(p, a).a
             for b in grid:
                 class_b, content_b = table.entries[b]
                 assert (class_a == class_b) == box_equiv(p, a, b)
                 assert (class_a == class_b and content_a < content_b) == box_less(p, a, b)
+                # Class ids sort like the (kappa coefficient, residue) keys.
+                key_a, key_b = content_class_key(p, a), content_class_key(p, b)
+                assert (class_a < class_b) == (key_a < key_b)
 
 
 def test_content_table_ties_stay_inside_one_component():

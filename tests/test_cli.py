@@ -20,7 +20,10 @@ P2_OF_2 = [
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exit_:  # argparse's usage errors
+        code = exit_.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -271,10 +274,16 @@ def test_size_guard_refuses_large_ell(capsys):
         ("job", "no-such-job.json"),
         ("order", "--ell", "1", "--n", "2", "--kappa", "1/0"),
         ("order", "--ell", "1", "--n", "2", "--kappa", "1/2", "--dot", "no-dir/x.dot"),
+        # --max-n exists only where --n does
+        ("theta", "--ell", "1", "--kappa", "1/2", "--max-n", "3"),
+        ("common-refinement", "valid.json", "valid.json", "--max-n", "3"),
+        # an empty --theta is not the zero vector
+        ("generic", "--ell", "1", "--n", "1", "--kappa", "1/2", "--theta="),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "valid.json").write_text(json.dumps({"labels": [1], "matrix": [[1]]}))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -291,6 +300,10 @@ def test_invalid_input_exits_2(capsys, argv, tmp_path, monkeypatch):
          "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}]}},
         # n of the wrong type
         {"command": "enumerate", "ell": 1, "n": "3"},
+        {"command": "enumerate", "ell": 1, "n": 1, "options": 5},
+        {"command": "common-refinement", "inputs": [1]},
+        {"command": "common-refinement", "inputs": ["only-one.json"]},
+        {"command": "generic", "ell": 1, "n": 1, "theta": 5},
     ],
 )
 def test_malformed_job_file_exits_2_with_one_line(capsys, tmp_path, job):
@@ -343,6 +356,7 @@ def test_h_defaults_to_zero_vector(capsys):
         [1],
         {"labels": [1, 2], "matrix": [[1, "0"], [0, 1]]},
         {"labels": [1, 2], "matrix": [[1, 2], [0, 1]]},
+        {"labels": [1, 1], "matrix": [[1, 0], [0, 1]]},
     ],
 )
 def test_malformed_relation_file_exits_2_with_one_line(capsys, tmp_path, relation):

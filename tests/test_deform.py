@@ -29,6 +29,7 @@ from cherloc import (
     s_coordinates,
     verify_preservation,
 )
+from cherloc.deform import required_checks
 
 HALF = KappaMode.rational(Fraction(1, 2))
 FORMAL = KappaMode.formal()
@@ -131,6 +132,29 @@ def test_search_reports_a_genericity_failure_by_its_witness():
             "witness": {"kind": "difference", "i": 0, "j": 1, "m": 0},
         },
     }
+
+
+@pytest.mark.parametrize(
+    "p, p2, detail",
+    [
+        # kappa moved by a non-integer
+        (Params.build(HALF, [0]), Params.build(KappaMode.rational(Fraction(3, 4)), [0]),
+         {"slot": "kappa", "difference": "1/4"}),
+        # integral kappa shift, non-integral rational h shift
+        (Params.build(HALF, [0, 0]),
+         Params.build(KappaMode.rational(Fraction(3, 2)), [Fraction(1, 2), Fraction(-1, 2)]),
+         {"slot": "h_0", "difference": "1/2"}),
+        # a formal h shift with a kappa part
+        (Params.build(FORMAL, [0, 0]),
+         Params.build(FORMAL, [FORMAL.scalar(Fraction(1, 2), 1),
+                               FORMAL.scalar(Fraction(-1, 2), -1)]),
+         {"slot": "h_0", "difference": "1/2+1/1k"}),
+    ],
+)
+def test_integral_difference_reports_the_first_bad_slot(p, p2, detail):
+    # Neither schedule builds such a candidate, so craft p2 directly.
+    first = next(required_checks(p, p2, 1, IndexMode.LITERAL))
+    assert first == CheckResult("integral_difference", False, detail)
 
 
 def test_blocked_instance_respects_retry_bound():

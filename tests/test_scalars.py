@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cherloc import KappaMode, ParamScalar, Sign, format_rational, parse_rational, parse_scalar
+from cherloc import KappaMode, ParamScalar, format_rational, parse_rational, parse_scalar
 
 RATIONAL = KappaMode.rational(Fraction(1, 2))
 FORMAL = KappaMode.formal()
@@ -73,20 +73,6 @@ def test_in_integers_plus_formal_mode_needs_zero_kappa_part():
 @given(x=scalars(), offset=rationals, shift=st.integers(-5, 5))
 def test_in_integers_plus_invariant_under_integer_offset_shift(x, offset, shift):
     assert x.in_integers_plus(offset) == x.in_integers_plus(offset + shift)
-
-
-def test_rational_sign():
-    assert RATIONAL.scalar(-3).rational_sign() is Sign.NEGATIVE
-    assert FORMAL.zero().rational_sign() is Sign.ZERO
-    assert FORMAL.scalar(0, 1).rational_sign() is Sign.NOT_RATIONAL
-    assert RATIONAL.scalar(0, 1).rational_sign() is Sign.POSITIVE  # substituted 1/2
-
-
-@given(x=scalars())
-def test_sign_flips_under_negation(x):
-    sign, neg = x.rational_sign(), (-x).rational_sign()
-    flip = {Sign.NEGATIVE: Sign.POSITIVE, Sign.POSITIVE: Sign.NEGATIVE}
-    assert neg == flip.get(sign, sign)
 
 
 def test_rational_string_round_trip():

@@ -2,7 +2,8 @@
 
 perfbench/tracer.py looks each traced function up by name and rewraps the
 Relation.from_json classmethod; a rename in cherloc would otherwise break
-only the benchmark's traced pass.  The tracer is installed in a fresh
+only the benchmark's traced pass.  A traced `order` run must count its one
+artifact dump and its one relation_p call.  The tracer is installed in a fresh
 interpreter, so the wrapping never reaches this test session.
 """
 
@@ -14,10 +15,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 INSTALL = """
+import cherloc.cli
 from tracer import Tracer
 from cherloc.poset import Relation
-Tracer().install()
+tracer = Tracer()
+tracer.install()
 assert Relation.from_json({"labels": [1], "matrix": [[1]]}) == Relation((1,), [[True]])
+assert cherloc.cli.main(["order", "--ell", "1", "--n", "2", "--kappa", "1/2"]) == 0
+# cli.run looks canonical_dumps up when it writes, so the wrapper sees the dump.
+assert tracer.counters["cli.canonical_dumps.calls"] == 1, tracer.counters
+assert tracer.counters["mporder.relation_p.calls"] == 1, tracer.counters
 """
 
 
