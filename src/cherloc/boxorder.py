@@ -140,21 +140,18 @@ class ContentTable:
     @classmethod
     def compile(cls, p: Params, n: int) -> ContentTable:
         """Build the table for (p, n); empty for n = 0."""
-        kappa = p.mode.value  # None in formal mode
-        D = lcm(
-            p.ell,
-            1 if kappa is None else kappa.denominator,
-            *(entry.a.denominator for entry in p.h),
-        )
+        kappa = p.kappa  # a = the value of kappa (0 if formal), b = 1 if formal
+        D = lcm(p.ell, kappa.a.denominator, *(entry.a.denominator for entry in p.h))
         step = D // p.ell
         base = [int(entry.a * D) for entry in p.h]
-        slope = 0 if kappa is None else int(kappa * D)
+        slope = int(kappa.a * D)
         E = lcm(*(entry.b.denominator for entry in p.h))
         kappa_base = [int(entry.b * E) for entry in p.h]
+        kappa_slope = int(kappa.b * E)
         entries = {}
         for box in relevant_boxes(p.ell, n) if n else ():
             diagonal = box.y - box.x
             content = base[box.i] + slope * diagonal
-            kappa_part = kappa_base[box.i] + E * diagonal if kappa is None else 0
+            kappa_part = kappa_base[box.i] + kappa_slope * diagonal
             entries[box] = (kappa_part * D + (content - step * box.i) % D, content)
         return cls(D, entries)

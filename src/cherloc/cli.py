@@ -61,6 +61,9 @@ class JobSpec:
         options = data.get("options", {})
         if not isinstance(options, dict):
             raise ValueError("job options must be a JSON object")
+        ells = [data.get("ell"), _length(data.get("params"), "h"),
+                _length(data.get("theta"), "theta")]
+        _guard_sizes(ells, data.get("n"), options.get("max_n"))
         params = Params.from_json(data["params"]) if data.get("params") else None
         theta = Stability.from_json(data["theta"]) if data.get("theta") else None
         inputs = _field(data, "inputs", list, [])
@@ -100,13 +103,19 @@ def _emit(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _guard_sizes(job: JobSpec) -> None:
-    cap = MAX_N_DEFAULT if job.max_n is None else job.max_n
-    ells = [job.ell]
-    ells += [source.ell for source in (job.params, job.theta) if source is not None]
-    if any(ell is not None and ell > MAX_ELL_DEFAULT for ell in ells):
+def _length(source, key: str) -> int | None:
+    """len(source[key]) when source is a JSON object holding a list there."""
+    if isinstance(source, dict) and isinstance(source.get(key), list):
+        return len(source[key])
+    return None
+
+
+def _guard_sizes(ells: list, n, max_n) -> None:
+    """Refuse oversized raw sizes before any scalar is parsed; parsing reports non-ints."""
+    if any(type(ell) is int and ell > MAX_ELL_DEFAULT for ell in ells):
         raise ValueError(f"ell > {MAX_ELL_DEFAULT} refused by the size guard")
-    if job.n is not None and job.n > cap:
+    cap = MAX_N_DEFAULT if max_n is None else max_n
+    if type(n) is type(cap) is int and n > cap:
         raise ValueError(f"n > {cap} refused by the size guard (--max-n raises it)")
 
 
@@ -217,7 +226,6 @@ def run(job: JobSpec) -> int:
         raise ValueError(f"{job.command} needs {', '.join(missing)}")
     if job.command == "common-refinement" and len(job.inputs) != 2:
         raise ValueError("common-refinement needs two relation files")
-    _guard_sizes(job)
     artifact, code = command.handler(job)
     _emit(canonical_dumps(artifact), job.out)
     return code
@@ -259,6 +267,7 @@ def _scalars(text: str | None, flag: str, mode: KappaMode, ell: int) -> tuple:
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
     job = JobSpec(**{k: v for k, v in vars(args).items() if k not in ("kappa", "h", "theta")})
+    _guard_sizes([job.ell], job.n, job.max_n)
     job.index_mode = IndexMode(job.index_mode)
     job.inputs = tuple(job.inputs)
     if hasattr(args, "kappa"):
@@ -280,7 +289,8 @@ def main(argv: list[str] | None = None) -> int:
             job = _job_from_args(args)
         return run(job)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
-        print(f"cherloc: {err}", file=sys.stderr)
+        message = f"missing field {err}" if isinstance(err, KeyError) else err
+        print(f"cherloc: {message}", file=sys.stderr)
         return 2
 
 

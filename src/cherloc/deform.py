@@ -49,10 +49,9 @@ class DeformationError(Exception):
 class DeformPlan:
     """The data of one deformation candidate.
 
-    M is the kappa multiplier in rational mode (None in formal mode);
-    m is strictly increasing and subtracted componentwise.  Formal mode
-    keeps kappa fixed, so the JSON form records a kappa_shift of 0 there
-    (None in rational mode).
+    M is the kappa multiplier, None when kappa stays fixed (formal mode);
+    m is strictly increasing and subtracted componentwise.  A fixed kappa
+    is recorded in the JSON form as a kappa_shift of 0 (None otherwise).
     """
 
     m: tuple[int, ...]
@@ -97,41 +96,21 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-def s_coordinates(p: Params) -> list[tuple[Fraction, Fraction]]:
-    """Coordinates s_i with h_i = kappa*s_i - i/ell.
-
-    Each entry is (constant part, coefficient of 1/kappa).  In rational
-    mode the value collapses into the constant part.
-    """
-    out = []
-    for i, entry in enumerate(p.h):
-        inv_part = entry.a + Fraction(i, p.ell)
-        if p.mode.is_rational:
-            if p.mode.value == 0:
-                raise ValueError("kappa must be nonzero")
-            out.append((inv_part / p.mode.value, Fraction(0)))
-        else:
-            out.append((entry.b, inv_part))
-    return out
-
-
 def index_classes(p: Params) -> list[list[int]]:
-    """Partition of the component indices by s_i - s_j in (1/kappa)*Z."""
-    coords = s_coordinates(p)
+    """Partition of the component indices by s_i - s_j in (1/kappa)*Z.
+
+    With kappa*s_i = h_i + i/ell, that is h_i - h_j in Z + (j - i)/ell,
+    kappa parts included.  Classes are listed by their first index.
+    """
     classes: list[list[int]] = []
-    reps: list[tuple[Fraction, Fraction]] = []
-    for i, (const, inv) in enumerate(coords):
-        for idx, (rep_const, rep_inv) in enumerate(reps):
-            if p.mode.is_rational:
-                related = ((const - rep_const) * p.mode.value).denominator == 1
-            else:
-                related = const == rep_const and (inv - rep_inv).denominator == 1
-            if related:
-                classes[idx].append(i)
+    for j in range(p.ell):
+        for members in classes:
+            i = members[0]
+            if (p.h[i] - p.h[j]).in_integers_plus(Fraction(j - i, p.ell)):
+                members.append(j)
                 break
         else:
-            reps.append((const, inv))
-            classes.append([i])
+            classes.append([j])
     return classes
 
 
@@ -165,21 +144,13 @@ def verify_preservation(p: Params, p2: Params, n: int) -> PreservationViolation 
 
 def _integral_difference_failure(p: Params, p2: Params) -> dict | None:
     """Componentwise p2 - p must be an integer tuple (kappa slot included)."""
-    if p.mode.is_rational:
-        kappa_diff = p2.mode.value - p.mode.value
-        if kappa_diff.denominator != 1:
-            return {"slot": "kappa", "difference": format_rational(kappa_diff)}
-    for i in range(p.ell):
-        if p.mode.is_rational:
-            diff = p2.h[i].a - p.h[i].a
-            integral = diff.denominator == 1
-            shown = format_rational(diff)
-        else:
-            scalar_diff = p2.h[i] - p.h[i]
-            integral = scalar_diff.in_integers_plus(0)
-            shown = f"{format_rational(scalar_diff.a)}+{format_rational(scalar_diff.b)}k"
-        if not integral:
-            return {"slot": f"h_{i}", "difference": shown}
+    slots = [("kappa", p.kappa, p2.kappa)]
+    slots += [(f"h_{i}", p.h[i], p2.h[i]) for i in range(p.ell)]
+    for slot, old, new in slots:
+        a, b = new.a - old.a, new.b - old.b
+        if a.denominator != 1 or b != 0:
+            shown = format_rational(a) + ("" if p.mode.is_rational else f"+{format_rational(b)}k")
+            return {"slot": slot, "difference": shown}
     return None
 
 
@@ -257,18 +228,34 @@ def _gap_vector(ell: int, gap: int) -> list[int]:
     return [gap * i + i * (i - 1) // 2 for i in range(ell)]
 
 
+def _candidate(p: Params, M: int, gap: int) -> tuple[Params, DeformPlan]:
+    """The candidate kappa' = M*kappa, h' = h + (M-1)*kappa*s - m.
+
+    kappa*s_i = h_i + i/ell, and m is the gap vector of gap.  The last m
+    entry absorbs a remainder so that the sum-zero renormalization shift
+    is itself an integer.  M = 1 keeps kappa, and so its mode, fixed.
+    """
+    m = _gap_vector(p.ell, gap)
+    shift = [(M - 1) * (entry + Fraction(i, p.ell)) - m[i] for i, entry in enumerate(p.h)]
+    remainder = int(sum(shift).a) % p.ell
+    m[-1] += remainder
+    shift[-1] -= remainder
+    mode = p.mode if M == 1 else KappaMode.rational(M * p.mode.value)
+    h = (entry + delta for entry, delta in zip(p.h, shift))
+    p2 = Params(mode, tuple(mode.scalar(value.a, value.b) for value in h))
+    return p2, DeformPlan(m=tuple(m), M=None if M == 1 else M)
+
+
 def deform_rational(
     p: Params,
     n: int,
     index_mode: IndexMode = IndexMode.LITERAL,
     retry_bound: int = LocalizeOptions.retry_bound,
 ) -> tuple[Params, DeformPlan]:
-    """Deform rational-kappa parameters: kappa' = M*kappa, h' = h - integers.
+    """Deform rational-kappa parameters through candidates with M = 1 + t*D.
 
-    M runs over 1 + t*D where D clears the denominators of kappa and of
-    every kappa*s_i, so all differences are integral by construction.
-    The last m entry absorbs a remainder so that the sum-zero
-    renormalization shift is itself an integer.
+    D clears the denominators of kappa and of every kappa*s_i, so all
+    differences are integral by construction.
     """
     if not p.mode.is_rational:
         raise ValueError("parameters are not in rational mode")
@@ -277,22 +264,8 @@ def deform_rational(
         raise ValueError("kappa must be nonzero")
     base = [p.h[i].a + Fraction(i, p.ell) for i in range(p.ell)]
     D = lcm(kappa.denominator, *(value.denominator for value in base))
-
-    def candidates():
-        for t, gap in _rational_schedule(retry_bound):
-            M = 1 + t * D
-            m = _gap_vector(p.ell, gap)
-            delta = [(M - 1) * base[i] - m[i] for i in range(p.ell)]
-            remainder = int(sum(delta)) % p.ell
-            m[-1] += remainder
-            delta[-1] -= remainder
-            p2 = Params.build(
-                KappaMode.rational(M * kappa),
-                [p.h[i].a + delta[i] for i in range(p.ell)],
-            )
-            yield p2, DeformPlan(m=tuple(m), M=M)
-
-    return _search(p, n, index_mode, candidates(), {"mode": "rational"})
+    candidates = (_candidate(p, 1 + t * D, gap) for t, gap in _rational_schedule(retry_bound))
+    return _search(p, n, index_mode, candidates, {"mode": "rational"})
 
 
 def deform_formal(
@@ -301,24 +274,16 @@ def deform_formal(
     index_mode: IndexMode = IndexMode.LITERAL,
     retry_bound: int = LocalizeOptions.retry_bound,
 ) -> tuple[Params, DeformPlan]:
-    """Deform formal-kappa parameters: kappa' = kappa, h' = h - m.
+    """Deform formal-kappa parameters through candidates with M = 1: h' = h - m.
 
-    The kappa shift is pinned to zero, so the component classes (s_i
-    related when s_i - s_j is in (1/kappa)*Z) are carried over verbatim
-    and only the integer vector m varies over the schedule.
+    Kappa stays fixed, so the component classes are carried over
+    verbatim; only the integer vector m varies over the schedule.
     """
     if p.mode.is_rational:
         raise ValueError("parameters are not in formal mode")
-
-    def candidates():
-        for gap in range(1, retry_bound + 1):
-            m = _gap_vector(p.ell, gap)
-            m[-1] += (-sum(m)) % p.ell
-            p2 = Params(p.mode, tuple(p.h[i] - m[i] for i in range(p.ell)))
-            yield p2, DeformPlan(m=tuple(m))
-
+    candidates = (_candidate(p, 1, gap) for gap in range(1, retry_bound + 1))
     diagnostics = {"mode": "formal", "index_classes": index_classes(p)}
-    return _search(p, n, index_mode, candidates(), diagnostics)
+    return _search(p, n, index_mode, candidates, diagnostics)
 
 
 @dataclass(frozen=True)
@@ -365,8 +330,6 @@ def localize(p: Params, n: int, options: LocalizeOptions | None = None) -> Certi
     options = options or LocalizeOptions()
     if n < 1:
         raise ValueError("need n >= 1")
-    if p.mode.is_rational and p.mode.value == 0:
-        raise ValueError("kappa must be nonzero")
     deform = deform_rational if p.mode.is_rational else deform_formal
     p2, plan = deform(p, n, options.index_mode, options.retry_bound)
     theta = theta_of_p(p2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cherloc import LocalizeOptions
+from cherloc import LocalizeOptions, Params, ParamScalar
 from cherloc.cli import JobSpec, _build_parser, _job_from_args, canonical_dumps, main
 
 P2_OF_2 = [
@@ -290,6 +290,21 @@ def test_invalid_input_exits_2(capsys, argv, tmp_path, monkeypatch):
     assert err.startswith("cherloc: ") and err.count("\n") == 1
 
 
+# Files that lack one key -> that key.  Each exits 2 with one line naming it.
+MISSING_FIELD = {
+    "ell": {"command": "theta", "params": {"kappa": "1/2", "h": [{"a": "0/1"}]}},
+    "kappa": {"command": "theta", "params": {"ell": 1, "h": [{"a": "0/1"}]}},
+    "a": {"command": "theta", "params": {"ell": 1, "kappa": "1/2", "h": [{"b": "0/1"}]}},
+    "matrix": {"labels": [1]},
+}
+
+
+def assert_names_a_missing_field(case, err):
+    for key, missing in MISSING_FIELD.items():
+        if missing is case:
+            assert err == f"cherloc: missing field {key!r}\n"
+
+
 @pytest.mark.parametrize(
     "job",
     [
@@ -304,6 +319,9 @@ def test_invalid_input_exits_2(capsys, argv, tmp_path, monkeypatch):
         {"command": "common-refinement", "inputs": [1]},
         {"command": "common-refinement", "inputs": ["only-one.json"]},
         {"command": "generic", "ell": 1, "n": 1, "theta": 5},
+        MISSING_FIELD["ell"],
+        MISSING_FIELD["kappa"],
+        MISSING_FIELD["a"],
     ],
 )
 def test_malformed_job_file_exits_2_with_one_line(capsys, tmp_path, job):
@@ -313,6 +331,7 @@ def test_malformed_job_file_exits_2_with_one_line(capsys, tmp_path, job):
     assert code == 2
     assert out == ""
     assert err.startswith("cherloc: ") and err.count("\n") == 1
+    assert_names_a_missing_field(job, err)
 
 
 @pytest.mark.parametrize(
@@ -331,6 +350,33 @@ def test_size_guard_reads_ell_from_params_and_theta(capsys, tmp_path, job):
     assert code == 2
     assert out == ""
     assert "size guard" in err
+
+
+GUARD_ELL = "cherloc: ell > 4 refused by the size guard\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("order", "--ell", "100000", "--n", "1", "--kappa", "1/2"),
+        # oversized and malformed (--h too short): the guard speaks first
+        ("order", "--ell", "5", "--n", "1", "--kappa", "1/2", "--h", "0"),
+        ("order", "--ell", "5", "--n", "1", "--kappa", "junk"),
+        ("job", "big.json"),
+    ],
+)
+def test_size_guard_runs_before_any_scalar_is_parsed(capsys, tmp_path, monkeypatch, argv):
+    def refuse(self):
+        raise AssertionError("a scalar was built before the size guard ran")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text(json.dumps({
+        "command": "order", "n": 1,
+        "params": {"ell": 100000, "kappa": "1/2", "h": [{"a": "0/1"}] * 100000},
+    }))
+    monkeypatch.setattr(Params, "__post_init__", refuse)
+    monkeypatch.setattr(ParamScalar, "__post_init__", refuse)
+    assert run_cli(capsys, *argv) == (2, "", GUARD_ELL)
 
 
 def test_job_rejects_unknown_command(capsys, tmp_path):
@@ -357,6 +403,7 @@ def test_h_defaults_to_zero_vector(capsys):
         {"labels": [1, 2], "matrix": [[1, "0"], [0, 1]]},
         {"labels": [1, 2], "matrix": [[1, 2], [0, 1]]},
         {"labels": [1, 1], "matrix": [[1, 0], [0, 1]]},
+        MISSING_FIELD["matrix"],
     ],
 )
 def test_malformed_relation_file_exits_2_with_one_line(capsys, tmp_path, relation):
@@ -366,6 +413,7 @@ def test_malformed_relation_file_exits_2_with_one_line(capsys, tmp_path, relatio
     assert code == 2
     assert out == ""
     assert err.startswith("cherloc: ") and err.count("\n") == 1
+    assert_names_a_missing_field(relation, err)
 
 
 # Fuzz of main.  Each input is well formed (ell <= 3, n <= 4) except for at

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 import pytest
@@ -26,10 +27,10 @@ from cherloc import (
     index_classes,
     localize,
     relevant_boxes,
-    s_coordinates,
     verify_preservation,
 )
-from cherloc.deform import required_checks
+from cherloc import deform
+from cherloc.deform import _gap_vector, _rational_schedule, required_checks
 
 HALF = KappaMode.rational(Fraction(1, 2))
 FORMAL = KappaMode.formal()
@@ -182,16 +183,11 @@ def test_localize_input_guards():
         localize(Params.build(KappaMode.rational(0), [0]), 2)
 
 
-def test_s_coordinates_rational():
-    p = Params.build(HALF, [Fraction(1, 2), Fraction(-1, 2)])
-    assert s_coordinates(p) == [(1, 0), (0, 0)]
-
-
-def test_s_coordinates_formal():
-    p = Params.build(FORMAL, [Fraction(1, 2), Fraction(-1, 2)])
-    assert s_coordinates(p) == [(0, Fraction(1, 2)), (0, 0)]
-
-
+# At ell = 3 the shifts (i - j)/ell of box_equiv and (j - i)/ell of
+# index_classes differ: h = (0, 1/3, 2/3) puts boxes (1,1,i) of all three
+# components in one content class, yet its index classes are singletons.
+# ROADMAP item 1's open question (which i/ell shift relates components)
+# decides the ell = 3 rows.
 @pytest.mark.parametrize(
     "mode, h, expected",
     [
@@ -199,10 +195,120 @@ def test_s_coordinates_formal():
         (FORMAL, [Fraction(1, 3), Fraction(-1, 3)], [[0], [1]]),
         (HALF, [Fraction(1, 4), Fraction(-1, 4)], [[0, 1]]),
         (HALF, [Fraction(1, 2), Fraction(-1, 2)], [[0], [1]]),
+        (FORMAL, [0, Fraction(1, 3), Fraction(2, 3)], [[0], [1], [2]]),
+        (FORMAL, [0, Fraction(-1, 3), Fraction(-2, 3)], [[0, 1, 2]]),
+        (HALF, [0, Fraction(1, 3), Fraction(2, 3)], [[0], [1], [2]]),
+        (HALF, [0, Fraction(-1, 3), Fraction(-2, 3)], [[0, 1, 2]]),
     ],
 )
 def test_index_classes(mode, h, expected):
     assert index_classes(Params.build(mode, h)) == expected
+
+
+def index_classes_from_s_coordinates(p):
+    """Oracle: the classes as first written, through coordinates s_i.
+
+    kappa*s_i = h_i + i/ell; each s_i is (constant part, coefficient of
+    1/kappa), and in rational mode the value collapses into the constant
+    part.  s_i ~ s_j when s_i - s_j lies in (1/kappa)*Z.
+    """
+    coords = []
+    for i, entry in enumerate(p.h):
+        inv_part = entry.a + Fraction(i, p.ell)
+        if p.mode.is_rational:
+            coords.append((inv_part / p.mode.value, Fraction(0)))
+        else:
+            coords.append((entry.b, inv_part))
+    classes, reps = [], []
+    for i, (const, inv) in enumerate(coords):
+        for idx, (rep_const, rep_inv) in enumerate(reps):
+            if p.mode.is_rational:
+                related = ((const - rep_const) * p.mode.value).denominator == 1
+            else:
+                related = const == rep_const and (inv - rep_inv).denominator == 1
+            if related:
+                classes[idx].append(i)
+                break
+        else:
+            reps.append((const, inv))
+            classes.append([i])
+    return classes
+
+
+@st.composite
+def deform_params(draw):
+    """Parameters of either mode, ell <= 5, offsets with denominators up to
+    12 or ell, so that components often share classes; formal offsets carry
+    equal or unequal kappa parts.  kappa is nonzero, as localize requires."""
+    ell = draw(st.integers(1, 5))
+    dens = sorted({1, 2, 3, 4, 6, 12, ell, 2 * ell})
+    rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from(dens))
+    a = [draw(rationals) for _ in range(ell)]
+    if draw(st.booleans()):
+        kappa = draw(rationals.filter(lambda value: value != 0))
+        return Params.build(KappaMode.rational(kappa), a)
+    k_parts = st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-2, 3)])
+    if draw(st.booleans()):
+        b = [draw(k_parts)] * ell
+    else:
+        b = [draw(k_parts) for _ in range(ell)]
+    return Params.build(FORMAL, [FORMAL.scalar(x, y) for x, y in zip(a, b)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=deform_params())
+def test_index_classes_agree_with_the_s_coordinate_oracle(p):
+    assert index_classes(p) == index_classes_from_s_coordinates(p)
+
+
+def rational_candidates_oracle(p, retry_bound):
+    """Oracle: deform_rational's candidate generator as first written."""
+    kappa = p.mode.value
+    base = [p.h[i].a + Fraction(i, p.ell) for i in range(p.ell)]
+    D = lcm(kappa.denominator, *(value.denominator for value in base))
+    for t, gap in _rational_schedule(retry_bound):
+        M = 1 + t * D
+        m = _gap_vector(p.ell, gap)
+        delta = [(M - 1) * base[i] - m[i] for i in range(p.ell)]
+        remainder = int(sum(delta)) % p.ell
+        m[-1] += remainder
+        delta[-1] -= remainder
+        p2 = Params.build(
+            KappaMode.rational(M * kappa),
+            [p.h[i].a + delta[i] for i in range(p.ell)],
+        )
+        yield p2, DeformPlan(m=tuple(m), M=M)
+
+
+def formal_candidates_oracle(p, retry_bound):
+    """Oracle: deform_formal's candidate generator as first written."""
+    for gap in range(1, retry_bound + 1):
+        m = _gap_vector(p.ell, gap)
+        m[-1] += (-sum(m)) % p.ell
+        p2 = Params(p.mode, tuple(p.h[i] - m[i] for i in range(p.ell)))
+        yield p2, DeformPlan(m=tuple(m))
+
+
+def fed_candidates(p, count):
+    """The first count candidates that deform_rational or deform_formal
+    hands to the search."""
+    seen = []
+
+    def capture(p, n, index_mode, candidates, diagnostics):
+        seen.extend(islice(candidates, count))
+        return seen[0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deform, "_search", capture)
+        (deform_rational if p.mode.is_rational else deform_formal)(p, 1, retry_bound=count)
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=deform_params(), count=st.integers(1, 6))
+def test_candidates_agree_with_the_per_mode_generators(p, count):
+    oracle = rational_candidates_oracle if p.mode.is_rational else formal_candidates_oracle
+    assert fed_candidates(p, count) == list(oracle(p, count))
 
 
 def test_preservation_violation_reports_the_pair():
