@@ -33,8 +33,24 @@ MAX_ELL_DEFAULT = 4
 MAX_N_DEFAULT = 8
 
 
-def canonical_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def canonical_dumps(payload: dict | Relation) -> str:
+    """The canonical JSON text of an artifact.
+
+    A Relation is written straight from its bit rows, one reversed bit
+    string per row, in the bytes json.dumps would give for its to_json().
+    """
+    if not isinstance(payload, Relation):
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    k = payload.size
+    head = json.dumps({"labels": [label_json(label) for label in payload.labels]},
+                      indent=2, sort_keys=True)[:-2] + ',\n  "matrix": ['
+    if not k:
+        return head + "]\n}\n"
+    rows = ["    [\n      " + ",\n      ".join(format(row, f"0{k}b")[::-1]) + "\n    ]"
+            for row in payload.rows]
+    rows[0] = head + "\n" + rows[0]
+    rows[-1] += "\n  ]\n}\n"
+    return ",\n".join(rows)
 
 
 @dataclass
@@ -124,11 +140,11 @@ def _run_enumerate(job: JobSpec) -> tuple[dict, int]:
     return {"ell": job.ell, "n": job.n, "labels": [mp.to_json() for mp in labels]}, 0
 
 
-def _run_order(job: JobSpec) -> tuple[dict, int]:
+def _run_order(job: JobSpec) -> tuple[Relation, int]:
     rel = relation_p(OrderInstance(job.params, job.n))
     if job.dot is not None:
         _emit(to_dot(rel), job.dot)
-    return rel.to_json(), 0
+    return rel, 0
 
 
 def _run_spherical(job: JobSpec) -> tuple[dict, int]:
@@ -159,14 +175,14 @@ def _run_localize(job: JobSpec) -> tuple[dict, int]:
         return {"failed": "deformation", **err.diagnostics}, 1
 
 
-def _run_common_refinement(job: JobSpec) -> tuple[dict, int]:
+def _run_common_refinement(job: JobSpec) -> tuple[dict | Relation, int]:
     relations = []
     for path in job.inputs:
         with open(path, encoding="utf-8") as handle:
             relations.append(Relation.from_json(json.load(handle)))
     result = common_refinement(*relations)
     if result.order is not None:
-        return result.order.to_json(), 0
+        return result.order, 0
     return {"cycle": [label_json(label) for label in result.cycle]}, 1
 
 
@@ -193,7 +209,7 @@ class Command:
     JobSpec fields, and arguments in the order argparse reports them missing."""
 
     help: str
-    handler: Callable[[JobSpec], tuple[dict, int]]
+    handler: Callable[[JobSpec], tuple[dict | Relation, int]]
     required: tuple[str, ...]
     arguments: str
 

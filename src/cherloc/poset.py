@@ -59,12 +59,26 @@ class Relation:
             raise ValueError("relation labels must be a list")
         if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
             raise ValueError("a relation matrix must be a list of rows")
-        if not all({*map(type, row)} <= {int, bool} and {*row} <= {0, 1} for row in matrix):
-            raise ValueError("relation matrix entries must be 0, 1, true or false")
-        return cls(tuple(_label_from_json(label) for label in labels), matrix)
+        rows = [_packed(row) for row in matrix]
+        labels = tuple(_label_from_json(label) for label in labels)
+        if any(len(row) != len(labels) for row in matrix):
+            raise ValueError("matrix shape must match the label count")
+        return cls(labels, rows)
 
 
 _ENTRY = bytes.maketrans(b"01", b"\0\1")
+_DIGIT = bytes.maketrans(b"\0\1", b"01")
+
+
+def _packed(row: list) -> int:
+    """A JSON matrix row as a bit row, checked and packed at C speed."""
+    try:
+        entries = bytes(row) if {*map(type, row)} <= {int, bool} else None
+    except (TypeError, ValueError):  # bytes() refuses an int outside 0..255
+        entries = None
+    if entries is None or entries.translate(None, b"\0\1"):
+        raise ValueError("relation matrix entries must be 0, 1, true or false")
+    return int(entries[::-1].translate(_DIGIT) or b"0", 2)
 
 
 def _entries(row: int, k: int) -> bytes:
@@ -108,37 +122,95 @@ def _bits(row: int):
         row ^= low
 
 
-def _search(rows: list[int], start: int) -> tuple[int, tuple[int, ...] | None]:
-    """Breadth-first search from start over bit rows.
+def _closure(rows: list[int]) -> tuple[list[int], list[int]]:
+    """Reach rows and strongly connected components of bit rows.
 
-    Returns the labels reached by paths of length >= 1, as a bit row, and a
-    shortest strict cycle through start (None when start lies on none).
-    Nodes are expanded in discovery order and successors taken lowest index
-    first; the cycle closes at the first node other than start, in that
-    order, with an edge back to start, and follows the parent links to it.
+    Bit b of reach[a] is set when a path of length >= 1 leads from a to b.
+    The components come as bit rows of their members, sinks first, from an
+    iterative Tarjan pass.  A component's reach is the union of its members'
+    rows and of the reach of each successor outside it; a successor that an
+    already merged reach covers adds nothing and is skipped.
+    """
+    k = len(rows)
+    index, low, reach = [-1] * k, [0] * k, [0] * k
+    stack, components, done, count = [], [], 0, 0
+    for root in range(k):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [[root, rows[root]]]  # node and its successors not yet taken
+        while work:
+            frame = work[-1]
+            node, todo = frame[0], frame[1] & ~done
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                dst = bit.bit_length() - 1
+                if index[dst] < 0:
+                    frame[1] = todo
+                    index[dst] = low[dst] = count
+                    count += 1
+                    stack.append(dst)
+                    work.append([dst, rows[dst]])
+                    break
+                low[node] = min(low[node], index[dst])  # dst is on the stack
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    members = 0
+                    while not members >> node & 1:
+                        members |= 1 << stack.pop()
+                    out = 0
+                    for member in _bits(members):
+                        out |= rows[member]
+                    merged, todo = 0, out & ~members
+                    while todo:
+                        bit = todo & -todo
+                        merged |= reach[bit.bit_length() - 1]
+                        todo &= ~(merged | bit)
+                    for member in _bits(members):
+                        reach[member] = out | merged
+                    done |= members
+                    components.append(members)
+    return reach, components
+
+
+def _shortest_cycle(rows: list[int], start: int, within: int) -> tuple[int, ...] | None:
+    """A shortest strict cycle through start, searched inside the bit row within.
+
+    Breadth-first: nodes are expanded in discovery order and successors
+    taken lowest index first; the cycle closes at the first node other than
+    start, in that order, with an edge back to start, and follows the parent
+    links to it.  Every node and parent link of a cycle through start lies in
+    start's strongly connected component, so with within that component the
+    search returns the cycle an unrestricted search would.
     """
     start_bit = 1 << start
     parent = {start: start}
-    seen, reach, cycle = start_bit, 0, None
+    seen = start_bit
     queue = [start]
     for node in queue:
-        row = rows[node]
-        reach |= row
-        if cycle is None and node != start and row & start_bit:
+        row = rows[node] & within
+        if node != start and row & start_bit:
             path = [node]
             while path[-1] != start:
                 path.append(parent[path[-1]])
-            cycle = tuple(reversed(path))
+            return tuple(reversed(path))
         for dst in _bits(row & ~seen):
             parent[dst] = node
             queue.append(dst)
         seen |= row
-    return reach, cycle
+    return None
 
 
 def transitive_closure(rel: Relation) -> Relation:
     """Smallest transitive relation containing rel."""
-    return Relation(rel.labels, [_search(rel.rows, a)[0] for a in range(rel.size)])
+    return Relation(rel.labels, _closure(rel.rows)[0])
 
 
 def reflexive_closure(rel: Relation) -> Relation:
@@ -187,15 +259,20 @@ def common_refinement(r1: Relation, r2: Relation) -> RefinementResult:
     """
     _require_same_labels(r1, r2)
     union = [a | b for a, b in zip(r1.rows, r2.rows)]
-    closed, best = [], None
-    for start in range(len(union)):
-        reach, cycle = _search(union, start)
-        closed.append(reach | 1 << start)
+    reach, components = _closure(union)
+    # A strict cycle lies inside one component of two or more members.
+    starts = sorted((start, members) for members in components if members & members - 1
+                    for start in _bits(members))
+    best = None
+    for start, within in starts:
+        cycle = _shortest_cycle(union, start, within)
         if cycle is not None and (best is None or len(cycle) < len(best)):
             best = cycle
+            if len(best) == 2:
+                break  # no strict cycle is shorter
     if best is not None:
         return RefinementResult(None, tuple(r1.labels[idx] for idx in best))
-    return RefinementResult(Relation(r1.labels, closed), None)
+    return RefinementResult(Relation(r1.labels, [r | 1 << a for a, r in enumerate(reach)]), None)
 
 
 def hasse(rel: Relation) -> Relation:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cherloc import LocalizeOptions, Params, ParamScalar
+from cherloc import LocalizeOptions, Params, ParamScalar, Relation
 from cherloc.cli import JobSpec, _build_parser, _job_from_args, canonical_dumps, main
 
 P2_OF_2 = [
@@ -404,6 +404,14 @@ def test_h_defaults_to_zero_vector(capsys):
         {"labels": [1, 2], "matrix": [[1, 2], [0, 1]]},
         {"labels": [1, 1], "matrix": [[1, 0], [0, 1]]},
         MISSING_FIELD["matrix"],
+        # entries that bytes() refuses or packs to something other than 0 or 1
+        {"labels": [1, 2], "matrix": [[1, 1.0], [0, 1]]},
+        {"labels": [1, 2], "matrix": [[1, None], [0, 1]]},
+        {"labels": [1, 2], "matrix": [[1, [1]], [0, 1]]},
+        {"labels": [1, 2], "matrix": [[1, -1], [0, 1]]},
+        {"labels": [1, 2], "matrix": [[1, 256], [0, 1]]},
+        # a ragged row
+        {"labels": [1, 2], "matrix": [[1, 0], [0]]},
     ],
 )
 def test_malformed_relation_file_exits_2_with_one_line(capsys, tmp_path, relation):
@@ -414,6 +422,40 @@ def test_malformed_relation_file_exits_2_with_one_line(capsys, tmp_path, relatio
     assert out == ""
     assert err.startswith("cherloc: ") and err.count("\n") == 1
     assert_names_a_missing_field(relation, err)
+
+
+def test_true_and_false_entries_read_as_1_and_0(capsys, tmp_path):
+    bits = [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
+    outputs = []
+    for name, matrix in (("ints", bits), ("bools", [[v == 1 for v in row] for row in bits])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"labels": ["a", "b", "c"], "matrix": matrix}))
+        code, out, err = run_cli(capsys, "common-refinement", str(path), str(path))
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["matrix"] == bits
+
+
+# Every label a relation file may hold: ints, finite floats, true, false and
+# null, strings with quotes, backslashes and non-ASCII text, and nested lists
+# (tuples once read).
+RELATION_LABELS = st.recursive(
+    st.integers(-10**20, 10**20) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.booleans() | st.none() | st.text(alphabet=st.sampled_from('ab"\\/\n\té☃\U0001f600')),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_relation_writer_equals_the_generic_encoder(data):
+    size = data.draw(st.sampled_from([0, 1, 2, 3]) | st.integers(0, 40))
+    labels = data.draw(st.lists(RELATION_LABELS, min_size=size, max_size=size, unique=True))
+    rows = data.draw(st.lists(st.integers(0, 2**size - 1), min_size=size, max_size=size))
+    rel = Relation(tuple(labels), rows)
+    assert canonical_dumps(rel) == json.dumps(rel.to_json(), indent=2, sort_keys=True) + "\n"
 
 
 # Fuzz of main.  Each input is well formed (ell <= 3, n <= 4) except for at

@@ -22,6 +22,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 from pathlib import Path
 
@@ -32,6 +33,28 @@ GOLDEN = Path(__file__).with_name("golden_sha256.json")
 
 def _relation(labels, rows):
     return {"labels": labels, "matrix": rows}
+
+
+def _generated_pair(seed: int, k: int, reversals: int):
+    """Two relations over k nested-list labels whose union is acyclic, but for
+    `reversals` planted cycles: a run up the shared ranking in the first and
+    the edge back down in the second."""
+    rng = random.Random(seed)
+    labels = [[[idx // 10], [idx % 10, "x"]] for idx in range(k)]
+    rank = list(range(k))
+    rng.shuffle(rank)
+    pair = []
+    for _ in range(2):
+        rows = [[int(a == b or (rank[a] < rank[b] and rng.random() < 0.05)) for b in range(k)]
+                for a in range(k)]
+        pair.append(rows)
+    below = sorted(range(k), key=rank.__getitem__)
+    for _ in range(reversals):
+        lo, length = rng.randrange(k - 8), rng.randint(2, 7)
+        for step in range(lo, lo + length - 1):
+            pair[0][below[step]][below[step + 1]] = 1
+        pair[1][below[lo + length - 1]][below[lo]] = 1
+    return [_relation(labels, rows) for rows in pair]
 
 
 # Input files, written afresh for every case.
@@ -80,6 +103,8 @@ FILES = {
                       "params": {"ell": 1, "kappa": "1/2", "h": [{"b": "0/1"}]}},
     "no-matrix.json": {"labels": [1]},
 }
+FILES["gen-order-1.json"], FILES["gen-order-2.json"] = _generated_pair(8, 100, 0)
+FILES["gen-cycle-1.json"], FILES["gen-cycle-2.json"] = _generated_pair(9, 104, 4)
 
 
 def _localize_cases():
@@ -180,6 +205,8 @@ def _cases():
         ["common-refinement", "chain.json", "pair.json"],
         ["common-refinement", "chain.json", "no-matrix.json"],
         ["common-refinement", "chain.json", "missing.json"],
+        ["common-refinement", "gen-order-1.json", "gen-order-2.json"],
+        ["common-refinement", "gen-cycle-1.json", "gen-cycle-2.json"],
     ]
     cases += [["job", name] for name in sorted(FILES) if name.startswith("job-")]
     # Invalid input: exit 2 with one line.

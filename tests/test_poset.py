@@ -1,6 +1,8 @@
 import random
 
 import pytest
+
+import cherloc.poset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,12 +112,12 @@ def shortest_cycle_oracle(labels, edges):
 def common_refinement_oracle(r1, r2):
     k = r1.size
     union = [[a or b for a, b in zip(x, y)] for x, y in zip(r1.matrix, r2.matrix)]
-    closed = closure_warshall(Relation(r1.labels, union))
+    closed = closure_warshall(Relation(r1.labels, union)).matrix
     for a in range(k):
         for b in range(k):
-            if a != b and closed.matrix[a][b] and closed.matrix[b][a]:
+            if a != b and closed[a][b] and closed[b][a]:
                 return RefinementResult(None, shortest_cycle_oracle(r1.labels, union))
-    loops = [[v or a == b for b, v in enumerate(row)] for a, row in enumerate(closed.matrix)]
+    loops = [[v or a == b for b, v in enumerate(row)] for a, row in enumerate(closed)]
     return RefinementResult(Relation(r1.labels, loops), None)
 
 
@@ -184,6 +186,86 @@ def test_poset_algebra_equals_the_matrix_oracles(data):
             assert hasse(candidate) == hasse_oracle(candidate)
 
 
+def planted_pair(seed, size, cycles=(), spanning=False, density=0.05):
+    """Two random relations over size labels whose union is acyclic, but for
+    planted cycles: for each length in cycles, a run through fresh labels in
+    the first relation and the edge back to its start in the second.  With
+    spanning, a chain through every label in the first and its reverse in the
+    second make one strongly connected component of everything."""
+    rng = random.Random(seed)
+    rank = list(range(size))
+    rng.shuffle(rank)
+    pair = [
+        [[rank[a] < rank[b] and rng.random() < density for b in range(size)]
+         for a in range(size)]
+        for _ in range(2)
+    ]
+    free = list(range(size))
+    rng.shuffle(free)
+    for length in cycles:
+        ring = [free.pop() for _ in range(length)]
+        for a, b in zip(ring, ring[1:]):
+            pair[0][a][b] = True
+        pair[1][ring[-1]][ring[0]] = True
+    if spanning:
+        for a, b in zip(free, free[1:]):
+            pair[0][a][b] = pair[1][b][a] = True
+    return tuple(Relation(tuple(range(size)), matrix) for matrix in pair)
+
+
+@pytest.mark.parametrize(
+    "seed, size, cycles, spanning",
+    [
+        # acyclic pairs
+        (1, 30, (), False), (2, 55, (), False), (3, 80, (), False),
+        # planted 2-cycles
+        (4, 30, (2,), False), (5, 60, (2, 2), False), (6, 80, (2,), False),
+        # several disjoint cycles of different lengths
+        (7, 40, (5, 3, 4), False), (8, 70, (6, 3, 8, 4), False), (9, 80, (7, 5), False),
+        # one component spanning every label
+        (10, 30, (), True), (11, 80, (), True),
+    ],
+)
+def test_scc_closure_equals_the_oracles_on_larger_pairs(
+    seed, size, cycles, spanning, monkeypatch
+):
+    r1, r2 = planted_pair(seed, size, cycles, spanning)
+    searched = []
+    search = cherloc.poset._shortest_cycle
+
+    def spy(rows, start, within):
+        searched.append((start, within))
+        return search(rows, start, within)
+
+    monkeypatch.setattr(cherloc.poset, "_shortest_cycle", spy)
+    result = common_refinement(r1, r2)
+    assert result == common_refinement_oracle(r1, r2)
+    assert (result.order is None) == bool(cycles or spanning) == bool(searched)
+    union = Relation(r1.labels, [a | b for a, b in zip(r1.rows, r2.rows)])
+    closed = closure_warshall(union)
+    assert transitive_closure(union) == closed
+    assert transitive_closure(r1) == closure_warshall(r1)
+    # The cycle search runs only from labels of components with two or
+    # more members, in increasing order, inside the start's component.
+    assert [start for start, _ in searched] == sorted({start for start, _ in searched})
+    for start, within in searched:
+        assert within >> start & 1 and within & within - 1
+        assert closed.matrix[start][start]
+
+
+def test_long_chain_and_cycle_need_no_recursion():
+    k = 3000
+    full = (1 << k) - 1
+    chain = Relation(tuple(range(k)), [1 << (a + 1) & full for a in range(k)])
+    assert transitive_closure(chain).rows == tuple(full & -(2 << a) for a in range(k))
+    cycle = Relation(chain.labels, [1 << (a + 1) % k for a in range(k)])
+    assert transitive_closure(cycle).rows == (full,) * k
+    none = Relation(chain.labels, [0] * k)
+    assert common_refinement(chain, none).order.rows == tuple(full & -(1 << a) for a in range(k))
+    back = Relation(chain.labels, [1 << (k - 3) if a == k - 1 else 0 for a in range(k)])
+    assert common_refinement(chain, back).cycle == (k - 3, k - 2, k - 1)
+
+
 def to_json_per_entry(labels, matrix):
     """The writer of the per-entry matrix that Relation.to_json replaced."""
     return {
@@ -221,6 +303,21 @@ def test_bit_rows_are_the_matrix_packed(data):
         for bad in (matrix[a] + [False], matrix[a][1:]):
             with pytest.raises(ValueError):
                 Relation(labels, matrix[:a] + [bad] + matrix[a + 1:])
+
+
+@pytest.mark.parametrize("entry", [2, 1.0, None, [1], -1, 256, "0", "1"])
+def test_relation_file_entries_other_than_0_1_true_false_are_refused(entry):
+    with pytest.raises(ValueError, match="^relation matrix entries must be 0, 1, true or false$"):
+        Relation.from_json({"labels": [1, 2], "matrix": [[1, entry], [0, 1]]})
+
+
+def test_relation_file_rows_must_match_the_labels():
+    for matrix in ([[1, 0], [0]], [[1, 0], [0, 1, 0]], [[1, 0]], []):
+        with pytest.raises(ValueError, match="^matrix shape must match the label count$"):
+            Relation.from_json({"labels": [1, 2], "matrix": matrix})
+    bits = {"labels": [1, 2], "matrix": [[1, 1], [0, 1]]}
+    bools = {"labels": [1, 2], "matrix": [[True, True], [False, True]]}
+    assert Relation.from_json(bits) == Relation.from_json(bools) == Relation((1, 2), [3, 2])
 
 
 def test_closure_of_chain_adds_long_edge():
