@@ -33,10 +33,7 @@ class Params:
         for entry in h:
             if not isinstance(entry, ParamScalar) or entry.mode != self.mode:
                 raise ValueError("offsets must be scalars in the declared kappa mode")
-        total = self.mode.zero()
-        for entry in h:
-            total = total + entry
-        shift = total / len(h)
+        shift = sum(h, self.mode.zero()) / len(h)
         object.__setattr__(self, "h", tuple(entry - shift for entry in h))
 
     @classmethod

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterator, NamedTuple
 
 
@@ -72,13 +73,8 @@ def enumerate_multipartitions(ell: int, n: int) -> list[Multipartition]:
     """
     if ell < 1 or n < 0:
         raise ValueError("need ell >= 1 and n >= 0")
-    found = []
-    for sizes in _compositions(n, ell):
-        choices = [_partitions(size, size if size else 1) for size in sizes]
-        stack = [()]
-        for options in choices:
-            stack = [prefix + (choice,) for prefix in stack for choice in options]
-        found.extend(stack)
+    found = [parts for sizes in _compositions(n, ell)
+             for parts in product(*(_partitions(size, size) for size in sizes))]
     found.sort(reverse=True)
     return [Multipartition(parts) for parts in found]
 

@@ -219,7 +219,7 @@ def _rational_schedule(retry_bound: int):
     widens the m-gaps, and some parameters need gaps comparable to M.
     """
     sweep = ((t, total - t) for total in count(2) for t in range(1, total))
-    return islice(sweep, max(retry_bound, 0))
+    return islice(sweep, retry_bound)
 
 
 def _gap_vector(ell: int, gap: int) -> list[int]:
@@ -259,6 +259,8 @@ def deform_rational(
     """
     if not p.mode.is_rational:
         raise ValueError("parameters are not in rational mode")
+    if retry_bound < 0:
+        raise ValueError("need retry_bound >= 0")
     kappa = p.mode.value
     if kappa == 0:
         raise ValueError("kappa must be nonzero")
@@ -281,6 +283,8 @@ def deform_formal(
     """
     if p.mode.is_rational:
         raise ValueError("parameters are not in formal mode")
+    if retry_bound < 0:
+        raise ValueError("need retry_bound >= 0")
     candidates = (_candidate(p, 1, gap) for gap in range(1, retry_bound + 1))
     diagnostics = {"mode": "formal", "index_classes": index_classes(p)}
     return _search(p, n, index_mode, candidates, diagnostics)

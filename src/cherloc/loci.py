@@ -38,10 +38,7 @@ class Stability:
         return self.theta[0].mode
 
     def total(self) -> ParamScalar:
-        total = self.mode.zero()
-        for entry in self.theta:
-            total = total + entry
-        return total
+        return sum(self.theta, self.mode.zero())
 
     def to_json(self) -> dict:
         return {
@@ -89,6 +86,8 @@ def genericity_witness(
     Checks sum(theta) != 0 and theta_i - theta_j != m*sum(theta) for all
     distinct i, j in the index range and all |m| < n.
     """
+    if n < 0:
+        raise ValueError("need n >= 0")
     total = stability.total()
     if total.is_zero:
         return GenericityWitness("sum")

@@ -22,14 +22,6 @@ from .combinatorics import Multipartition, boxes, enumerate_multipartitions
 from .poset import Relation
 
 
-@dataclass(frozen=True)
-class _CompiledLabel:
-    """A label as the set of its box ids and its count of boxes per class."""
-
-    boxes: frozenset[int]
-    signature: tuple[tuple[int, int], ...]
-
-
 @dataclass
 class OrderInstance:
     """The order on all ell-multipartitions of n for fixed parameters."""
@@ -40,7 +32,8 @@ class OrderInstance:
     # box id -> class id * span + content - lowest content: sorting these
     # groups boxes by class, and by content inside a class.
     _keys: list[int] = field(init=False, repr=False)
-    _compiled: dict[Multipartition, _CompiledLabel] = field(init=False, repr=False)
+    # label -> (its box ids, (class id, box count) for every class it has boxes in)
+    _compiled: dict[Multipartition, tuple[frozenset[int], tuple]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -56,40 +49,32 @@ class OrderInstance:
         for mp in self.labels:
             ids = [box_ids[box] for box in boxes(mp)]
             classes = Counter(self._keys[k] // span for k in ids)
-            self._compiled[mp] = _CompiledLabel(frozenset(ids), tuple(sorted(classes.items())))
+            self._compiled[mp] = frozenset(ids), tuple(sorted(classes.items()))
 
     @property
     def ell(self) -> int:
         return self.p.ell
 
-    def signature(self, mp: Multipartition) -> tuple[tuple[int, int], ...]:
-        """(class id, box count) for every class mp has boxes in."""
-        return self._compiled_label(mp).signature
-
-    def _compiled_label(self, mp: Multipartition) -> _CompiledLabel:
+    def _compiled_label(self, mp: Multipartition) -> tuple[frozenset[int], tuple]:
         compiled = self._compiled.get(mp)
         if compiled is None:
             # Every ell-multipartition of n is a label, so mp is malformed.
-            _check_pair(self, mp, mp)
+            if mp.ell != self.ell:
+                raise ValueError("multipartition has the wrong number of components")
+            if mp.n != self.n:
+                raise ValueError("multipartition has the wrong size")
             raise ValueError("not an ell-multipartition of n")
         return compiled
 
 
-def _check_pair(inst: OrderInstance, lam: Multipartition, mu: Multipartition) -> None:
-    if lam.ell != inst.ell or mu.ell != inst.ell:
-        raise ValueError("multipartition has the wrong number of components")
-    if lam.n != inst.n or mu.n != inst.n:
-        raise ValueError("multipartition has the wrong size")
-
-
 def leq_p(inst: OrderInstance, lam: Multipartition, mu: Multipartition) -> bool:
     """Whether lam <= mu in the matching order, by per-class sorted dominance."""
-    a, b = inst._compiled_label(lam), inst._compiled_label(mu)
-    if a.signature != b.signature:
+    (a, sig_a), (b, sig_b) = inst._compiled_label(lam), inst._compiled_label(mu)
+    if sig_a != sig_b:
         return False
     keys = inst._keys
-    left = sorted([keys[k] for k in a.boxes - b.boxes])
-    right = sorted([keys[k] for k in b.boxes - a.boxes])
+    left = sorted([keys[k] for k in a - b])
+    right = sorted([keys[k] for k in b - a])
     # Equal signatures leave equal counts per class, so the k-th keys of
     # the two sides lie in the same class.
     return all(x < y for x, y in zip(left, right))
@@ -104,7 +89,7 @@ def relation_p(inst: OrderInstance) -> Relation:
     labels = inst.labels
     groups: dict[tuple, list[int]] = {}
     for k, mp in enumerate(labels):
-        groups.setdefault(inst.signature(mp), []).append(k)
+        groups.setdefault(inst._compiled[mp][1], []).append(k)
     rows = [0] * len(labels)
     for members in groups.values():
         for a in members:

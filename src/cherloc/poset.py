@@ -26,10 +26,7 @@ class Relation:
             raise ValueError("matrix shape must match the label count")
         if len(set(labels)) != k:
             raise ValueError("labels must be unique")
-        rows = tuple(
-            row if isinstance(row, int) else sum(1 << b for b, v in enumerate(row) if v)
-            for row in rows
-        )
+        rows = tuple(row if isinstance(row, int) else _packed([*map(bool, row)]) for row in rows)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "rows", rows)
 
@@ -71,10 +68,10 @@ _DIGIT = bytes.maketrans(b"\0\1", b"01")
 
 
 def _packed(row: list) -> int:
-    """A JSON matrix row as a bit row, checked and packed at C speed."""
+    """A list of entries 0, 1, True or False as a bit row, checked and packed at C speed."""
     try:
-        entries = bytes(row) if {*map(type, row)} <= {int, bool} else None
-    except (TypeError, ValueError):  # bytes() refuses an int outside 0..255
+        entries = bytes(row)
+    except (TypeError, ValueError):  # a non-int entry, or an int outside 0..255
         entries = None
     if entries is None or entries.translate(None, b"\0\1"):
         raise ValueError("relation matrix entries must be 0, 1, true or false")

@@ -279,6 +279,10 @@ def test_size_guard_refuses_large_ell(capsys):
         ("common-refinement", "valid.json", "valid.json", "--max-n", "3"),
         # an empty --theta is not the zero vector
         ("generic", "--ell", "1", "--n", "1", "--kappa", "1/2", "--theta="),
+        ("generic", "--ell", "2", "--n", "-2", "--kappa", "1/2", "--theta", "1,2"),
+        # a negative retry bound is invalid input, not a failed deformation
+        ("localize", "--ell", "1", "--n", "2", "--kappa", "1/2", "--retry-bound", "-1"),
+        ("localize", "--ell", "1", "--n", "2", "--kappa", "formal", "--retry-bound", "-1"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, tmp_path, monkeypatch):
@@ -319,6 +323,8 @@ def assert_names_a_missing_field(case, err):
         {"command": "common-refinement", "inputs": [1]},
         {"command": "common-refinement", "inputs": ["only-one.json"]},
         {"command": "generic", "ell": 1, "n": 1, "theta": 5},
+        {"command": "localize", "n": 2, "options": {"retry_bound": -5},
+         "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}]}},
         MISSING_FIELD["ell"],
         MISSING_FIELD["kappa"],
         MISSING_FIELD["a"],

@@ -165,6 +165,16 @@ def test_blocked_instance_respects_retry_bound():
     assert info.value.diagnostics["candidates_tried"] == 5
 
 
+def test_negative_retry_bound_rejected():
+    for p in (Params.build(HALF, [0]), Params.build(FORMAL, [0])):
+        deform = deform_rational if p.mode.is_rational else deform_formal
+        with pytest.raises(ValueError, match="retry_bound"):
+            deform(p, 2, retry_bound=-1)
+        with pytest.raises(DeformationError) as info:  # 0 tries no candidate
+            deform(p, 2, retry_bound=0)
+        assert info.value.diagnostics["candidates_tried"] == 0
+
+
 def test_mode_guards():
     rational = Params.build(HALF, [0, 0])
     formal = Params.build(FORMAL, [0, 0])

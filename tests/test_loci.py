@@ -31,6 +31,13 @@ def test_zero_sum_is_never_generic():
     assert not is_generic(theta_of(mode, 1, -1), 2)
 
 
+def test_genericity_needs_nonnegative_n():
+    theta = theta_of(KappaMode.rational(1), 1, 2)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        genericity_witness(theta, -2)
+    assert is_generic(theta, 0)
+
+
 def test_literal_mode_skips_component_zero():
     p = Params.build(KappaMode.rational(Fraction(3, 2)), [0, 0])
     theta = theta_of_p(p)

@@ -75,10 +75,12 @@ def test_size_zero_is_a_single_true_cell():
 
 def test_wrong_shape_inputs_rejected():
     inst = OrderInstance(Params.build(HALF, [0]), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^multipartition has the wrong number of components$"):
         leq_p(inst, Multipartition(((1,), ())), ROW2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^multipartition has the wrong size$"):
         leq_p(inst, Multipartition(((3,),)), ROW2)
+    with pytest.raises(ValueError, match="^multipartition has the wrong size$"):
+        leq_p(inst, ROW2, Multipartition(((3,),)))
 
 
 def sample_instances(max_n=3):
