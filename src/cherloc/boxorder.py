@@ -54,6 +54,11 @@ class Params:
     def kappa(self) -> ParamScalar:
         return self.mode.kappa()
 
+    @property
+    def kappa_s(self) -> tuple[ParamScalar, ...]:
+        """kappa*s_i = h_i + i/ell; the box order (ContentTable, box_equiv) shifts by -i/ell."""
+        return tuple(entry + Fraction(i, self.ell) for i, entry in enumerate(self.h))
+
     def to_json(self) -> dict:
         return {
             "ell": self.ell,

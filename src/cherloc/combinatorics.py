@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class Box(NamedTuple):
@@ -56,15 +56,6 @@ def _partitions(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _compositions(n: int, ell: int) -> Iterator[tuple[int, ...]]:
-    if ell == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, ell - 1):
-            yield (first,) + rest
-
-
 def enumerate_multipartitions(ell: int, n: int) -> list[Multipartition]:
     """All ell-multipartitions of n, in descending lexicographic order.
 
@@ -73,7 +64,7 @@ def enumerate_multipartitions(ell: int, n: int) -> list[Multipartition]:
     """
     if ell < 1 or n < 0:
         raise ValueError("need ell >= 1 and n >= 0")
-    found = [parts for sizes in _compositions(n, ell)
+    found = [parts for sizes in product(range(n + 1), repeat=ell) if sum(sizes) == n
              for parts in product(*(_partitions(size, size) for size in sizes))]
     found.sort(reverse=True)
     return [Multipartition(parts) for parts in found]

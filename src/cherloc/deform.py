@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import count, islice
 from math import lcm
 
@@ -99,19 +98,14 @@ class CheckResult:
 def index_classes(p: Params) -> list[list[int]]:
     """Partition of the component indices by s_i - s_j in (1/kappa)*Z.
 
-    With kappa*s_i = h_i + i/ell, that is h_i - h_j in Z + (j - i)/ell,
-    kappa parts included.  Classes are listed by their first index.
+    That is kappa*s_i - kappa*s_j in Z, kappa parts included, so the
+    kappa part and the fractional rational part of p.kappa_s[i] key the
+    class of i.  Classes are listed by their first index.
     """
-    classes: list[list[int]] = []
-    for j in range(p.ell):
-        for members in classes:
-            i = members[0]
-            if (p.h[i] - p.h[j]).in_integers_plus(Fraction(j - i, p.ell)):
-                members.append(j)
-                break
-        else:
-            classes.append([j])
-    return classes
+    classes: dict[tuple, list[int]] = {}
+    for i, entry in enumerate(p.kappa_s):
+        classes.setdefault((entry.b, entry.a % 1), []).append(i)
+    return list(classes.values())
 
 
 def verify_preservation(p: Params, p2: Params, n: int) -> PreservationViolation | None:
@@ -231,12 +225,12 @@ def _gap_vector(ell: int, gap: int) -> list[int]:
 def _candidate(p: Params, M: int, gap: int) -> tuple[Params, DeformPlan]:
     """The candidate kappa' = M*kappa, h' = h + (M-1)*kappa*s - m.
 
-    kappa*s_i = h_i + i/ell, and m is the gap vector of gap.  The last m
+    kappa*s is p.kappa_s, and m is the gap vector of gap.  The last m
     entry absorbs a remainder so that the sum-zero renormalization shift
     is itself an integer.  M = 1 keeps kappa, and so its mode, fixed.
     """
     m = _gap_vector(p.ell, gap)
-    shift = [(M - 1) * (entry + Fraction(i, p.ell)) - m[i] for i, entry in enumerate(p.h)]
+    shift = [(M - 1) * entry - m[i] for i, entry in enumerate(p.kappa_s)]
     remainder = int(sum(shift).a) % p.ell
     m[-1] += remainder
     shift[-1] -= remainder
@@ -264,8 +258,7 @@ def deform_rational(
     kappa = p.mode.value
     if kappa == 0:
         raise ValueError("kappa must be nonzero")
-    base = [p.h[i].a + Fraction(i, p.ell) for i in range(p.ell)]
-    D = lcm(kappa.denominator, *(value.denominator for value in base))
+    D = lcm(kappa.denominator, *(entry.a.denominator for entry in p.kappa_s))
     candidates = (_candidate(p, 1 + t * D, gap) for t, gap in _rational_schedule(retry_bound))
     return _search(p, n, index_mode, candidates, {"mode": "rational"})
 
@@ -334,6 +327,8 @@ def localize(p: Params, n: int, options: LocalizeOptions | None = None) -> Certi
     options = options or LocalizeOptions()
     if n < 1:
         raise ValueError("need n >= 1")
+    if options.oracle_bound < 0:
+        raise ValueError("need oracle_bound >= 0")
     deform = deform_rational if p.mode.is_rational else deform_formal
     p2, plan = deform(p, n, options.index_mode, options.retry_bound)
     theta = theta_of_p(p2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import permutations, product
 
 from .boxorder import Params
 from .scalars import KappaMode, ParamScalar
@@ -92,15 +93,11 @@ def genericity_witness(
     if total.is_zero:
         return GenericityWitness("sum")
     start = 1 if index_mode is IndexMode.LITERAL else 0
-    indices = range(start, stability.ell)
-    for i in indices:
-        for j in indices:
-            if i == j:
-                continue
-            diff = stability.theta[i] - stability.theta[j]
-            for m in range(-(n - 1), n):
-                if diff == total * m:
-                    return GenericityWitness("difference", i, j, m)
+    for i, j in permutations(range(start, stability.ell), 2):
+        diff = stability.theta[i] - stability.theta[j]
+        for m in range(-(n - 1), n):
+            if diff == total * m:
+                return GenericityWitness("difference", i, j, m)
     return None
 
 
@@ -158,27 +155,25 @@ def aspherical_witnesses(p: Params, n: int) -> list[KappaFraction | ContentHyper
 
     The kappa-fraction family applies only in rational mode and is taken
     literally: no gcd condition, and no mirror image for negative kappa.
+    Each s allows the one r = kappa*s.  A content hyperplane through
+    (i, m, j) holds exactly when t = kappa*s_j - kappa*s_i + m*kappa is an
+    integer, at the one N = i - j + ell*t; its witnesses for one (i, m)
+    come in increasing N, those with N >= 1 within the bound.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     witnesses: list[KappaFraction | ContentHyperplane] = []
     if p.mode.is_rational:
-        kappa = p.mode.value
         for s in range(2, n + 1):
-            for r in range(1, s + 1):
-                if kappa == Fraction(r, s):
-                    witnesses.append(KappaFraction(r, s))
-    for i in range(p.ell):
-        for m in range(-(n - 1), n):
-            target_step = p.kappa * m
-            N = 1
-            while is_N_in_bound(n, m, i, p.ell, N):
-                if N % p.ell != 0:
-                    j = (i - N) % p.ell
-                    lhs = p.mode.scalar(Fraction(N, p.ell))
-                    if lhs == p.h[j] - p.h[i] + target_step:
-                        witnesses.append(ContentHyperplane(i, m, N, j))
-                N += 1
+            r = p.mode.value * s
+            if r.denominator == 1 and 1 <= r <= s:
+                witnesses.append(KappaFraction(int(r), s))
+    kappa, kappa_s = p.kappa, p.kappa_s
+    for i, m in product(range(p.ell), range(-(n - 1), n)):
+        shifts = ((j, kappa_s[j] - kappa_s[i] + kappa * m) for j in range(p.ell) if j != i)
+        solved = sorted((i - j + p.ell * int(t.a), j) for j, t in shifts if t.in_integers_plus(0))
+        witnesses += [ContentHyperplane(i, m, N, j) for N, j in solved
+                      if N >= 1 and is_N_in_bound(n, m, i, p.ell, N)]
     return witnesses
 
 

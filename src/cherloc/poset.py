@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Hashable
 
@@ -237,7 +238,8 @@ def is_partial_order(rel: Relation) -> OrderViolation | None:
 
 
 def _require_same_labels(r1: Relation, r2: Relation) -> None:
-    if r1.labels != r2.labels:
+    # Compared as JSON: the labels 1, 1.0 and true are equal in Python only.
+    if json.dumps(r1.labels, default=repr) != json.dumps(r2.labels, default=repr):
         raise ValueError("relations are over different label tuples")
 
 

@@ -283,6 +283,8 @@ def test_size_guard_refuses_large_ell(capsys):
         # a negative retry bound is invalid input, not a failed deformation
         ("localize", "--ell", "1", "--n", "2", "--kappa", "1/2", "--retry-bound", "-1"),
         ("localize", "--ell", "1", "--n", "2", "--kappa", "formal", "--retry-bound", "-1"),
+        # so is a negative oracle bound
+        ("localize", "--ell", "1", "--n", "2", "--kappa", "1/2", "--oracle-bound", "-1"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, tmp_path, monkeypatch):
@@ -328,6 +330,8 @@ def assert_names_a_missing_field(case, err):
         MISSING_FIELD["ell"],
         MISSING_FIELD["kappa"],
         MISSING_FIELD["a"],
+        {"command": "localize", "n": 2, "options": {"oracle_bound": -1},
+         "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}]}},
     ],
 )
 def test_malformed_job_file_exits_2_with_one_line(capsys, tmp_path, job):
@@ -428,6 +432,17 @@ def test_malformed_relation_file_exits_2_with_one_line(capsys, tmp_path, relatio
     assert out == ""
     assert err.startswith("cherloc: ") and err.count("\n") == 1
     assert_names_a_missing_field(relation, err)
+
+
+@pytest.mark.parametrize("other", [[True, 2], [1.0, 2]])
+def test_relation_files_over_different_json_labels_exit_2(capsys, tmp_path, other):
+    paths = []
+    for name, labels in (("first", [1, 2]), ("second", other)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"labels": labels, "matrix": [[1, 0], [0, 1]]}))
+    code, out, err = run_cli(capsys, "common-refinement", *map(str, paths))
+    assert (code, out) == (2, "")
+    assert err == "cherloc: relations are over different label tuples\n"
 
 
 def test_true_and_false_entries_read_as_1_and_0(capsys, tmp_path):

@@ -449,6 +449,14 @@ def test_oracle_bound_skips_the_relation_check():
     assert check.detail == {"skipped": "n > 1"}
 
 
+def test_negative_oracle_bound_rejected():
+    p = Params.build(HALF, [0])
+    with pytest.raises(ValueError, match="need oracle_bound >= 0"):
+        localize(p, 2, LocalizeOptions(oracle_bound=-1))
+    check = {c.name: c for c in localize(p, 2, LocalizeOptions(oracle_bound=0)).checks}
+    assert check["order_relation_equal"].detail == {"skipped": "n > 0"}
+
+
 def test_localize_is_deterministic():
     p = Params.build(HALF, [Fraction(1, 4), Fraction(-1, 4)])
     first = localize(p, 2).to_json()

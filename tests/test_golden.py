@@ -179,6 +179,9 @@ def _cases():
         ("1", "2", "1/2", None), ("1", "3", "-1", None), ("2", "3", "formal", "-1/4,1/4"),
         ("2", "2", "1/3", "1/5,-1/5"), ("3", "2", "formal", "0,1/3,k"),
         ("2", "3", "formal", "1/7,-1/7"),
+        # Two or three content-hyperplane witnesses for one (i, m).
+        ("3", "8", "-1/3", "0,-1/3,-2/3"), ("4", "6", "formal", "0,-1/4+k,-1/2,-3/4+k"),
+        ("4", "8", "1/2", "0,-1/4,-1/2,-3/4"),
     ]:
         argv = ["spherical", "--ell", ell, "--n", n, f"--kappa={kappa}"]
         cases.append(argv + ([f"--h={h}"] if h else []))

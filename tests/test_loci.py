@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from cherloc import (
     Stability,
     aspherical_witnesses,
     genericity_witness,
+    index_classes,
     is_generic,
     is_N_in_bound,
     is_spherical,
@@ -172,3 +175,80 @@ def test_theta_consecutive_differences():
     theta = theta_of_p(p)
     assert theta.theta[0] == -p.kappa + p.h[0] - p.h[1]
     assert theta.theta[1] == p.h[1] - p.h[0]
+
+
+def aspherical_witnesses_stepping(p, n):
+    """Oracle: the aspherical scan as first written, stepping r up to s and
+    N upward while it stays within the square-root bound."""
+    witnesses = []
+    if p.mode.is_rational:
+        for s in range(2, n + 1):
+            for r in range(1, s + 1):
+                if p.mode.value == Fraction(r, s):
+                    witnesses.append(KappaFraction(r, s))
+    for i in range(p.ell):
+        for m in range(-(n - 1), n):
+            N = 1
+            while is_N_in_bound(n, m, i, p.ell, N):
+                if N % p.ell != 0:
+                    j = (i - N) % p.ell
+                    if p.mode.scalar(Fraction(N, p.ell)) == p.h[j] - p.h[i] + p.kappa * m:
+                        witnesses.append(ContentHyperplane(i, m, N, j))
+                N += 1
+    return witnesses
+
+
+def index_classes_pairwise(p):
+    """Oracle: index_classes as first written, testing h_i - h_j in
+    Z + (j - i)/ell against the first member of each class so far."""
+    classes = []
+    for j in range(p.ell):
+        for members in classes:
+            i = members[0]
+            if (p.h[i] - p.h[j]).in_integers_plus(Fraction(j - i, p.ell)):
+                members.append(j)
+                break
+        else:
+            classes.append([j])
+    return classes
+
+
+def shift_grid(seed=10):
+    """(p, n) for ell 1..4 and n 1..9 in both modes.  Offsets are random with
+    small denominators, +i/ell or -i/ell plus integers (which put several
+    components on one content hyperplane), and in formal mode carry k parts."""
+    rng = random.Random(seed)
+    kappas = [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fraction(1), Fraction(-2),
+              Fraction(3, 4), Fraction(5, 2)]
+    grid = []
+    for ell in range(1, 5):
+        for n in range(1, 10):
+            for mode in (KappaMode.rational(rng.choice(kappas)), FORMAL):
+                random_a = [Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6, ell]))
+                            for _ in range(ell)]
+                plus_a = [Fraction(i, ell) + rng.randint(-3, 3) for i in range(ell)]
+                minus_a = [Fraction(-i, ell) + rng.randint(-3, 3) for i in range(ell)]
+                for a in (random_a, plus_a, minus_a):
+                    b = [0] * ell
+                    if not mode.is_rational:
+                        b = rng.choice([b, [rng.choice([0, 1, -1]) for _ in range(ell)]])
+                    grid.append((Params.build(mode, [mode.scalar(x, y) for x, y in zip(a, b)]), n))
+    return grid
+
+
+SHIFT_GRID = shift_grid()
+
+
+def test_solved_scan_equals_the_stepping_oracle():
+    most = 0
+    for p, n in SHIFT_GRID:
+        witnesses = aspherical_witnesses(p, n)
+        assert witnesses == aspherical_witnesses_stepping(p, n), (p, n)
+        per_i_m = Counter((w.i, w.m) for w in witnesses if isinstance(w, ContentHyperplane))
+        most = max(most, *per_i_m.values(), 0)
+    assert most >= 2  # the grid reaches (i, m) with several witnesses
+
+
+def test_index_classes_equal_the_pairwise_oracle():
+    for p, _ in SHIFT_GRID:
+        assert index_classes(p) == index_classes_pairwise(p), p

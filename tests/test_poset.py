@@ -354,6 +354,10 @@ def test_refines_is_edge_containment():
     assert not refines(coarse, fine)
     with pytest.raises(ValueError):
         refines(fine, rel("abd", []))
+    # 1 == True == 1.0 in Python, but they are distinct JSON labels
+    for other in ((True, 2), (1.0, 2)):
+        with pytest.raises(ValueError, match="different label tuples"):
+            refines(rel((1, 2), []), rel(other, []))
 
 
 def test_common_refinement_merges_two_chains():
