@@ -101,11 +101,6 @@ def box_less(p: Params, b1: Box, b2: Box) -> bool:
     return box_equiv(p, b1, b2) and (cont(p, b1) - cont(p, b2)).a < 0
 
 
-def box_leq(p: Params, b1: Box, b2: Box) -> bool:
-    """Identical boxes, or b1 strictly below b2."""
-    return b1 == b2 or box_less(p, b1, b2)
-
-
 def content_class_key(p: Params, box: Box):
     """Hashable key constant exactly on comparability classes.
 

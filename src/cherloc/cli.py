@@ -26,7 +26,7 @@ from .loci import (
     theta_of_p,
 )
 from .mporder import OrderInstance, relation_p
-from .poset import Relation, common_refinement, label_json, to_dot
+from .poset import Relation, common_refinement, to_dot
 from .scalars import KappaMode, parse_scalar
 
 MAX_ELL_DEFAULT = 4
@@ -42,8 +42,8 @@ def canonical_dumps(payload: dict | Relation) -> str:
     if not isinstance(payload, Relation):
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     k = payload.size
-    head = json.dumps({"labels": [label_json(label) for label in payload.labels]},
-                      indent=2, sort_keys=True)[:-2] + ',\n  "matrix": ['
+    head = (json.dumps({"labels": payload.labels}, indent=2, sort_keys=True)[:-2]
+            + ',\n  "matrix": [')
     if not k:
         return head + "]\n}\n"
     rows = ["    [\n      " + ",\n      ".join(format(row, f"0{k}b")[::-1]) + "\n    ]"
@@ -183,7 +183,7 @@ def _run_common_refinement(job: JobSpec) -> tuple[dict | Relation, int]:
     result = common_refinement(*relations)
     if result.order is not None:
         return result.order, 0
-    return {"cycle": [label_json(label) for label in result.cycle]}, 1
+    return {"cycle": result.cycle}, 1
 
 
 # Every argument a subcommand may take -> its add_argument keywords.

@@ -84,8 +84,8 @@ def genericity_witness(
 ) -> GenericityWitness | None:
     """First violated genericity condition, or None when theta is generic.
 
-    Checks sum(theta) != 0 and theta_i - theta_j != m*sum(theta) for all
-    distinct i, j in the index range and all |m| < n.
+    Checks sum(theta) != 0, then theta_i - theta_j != m*sum(theta) for all
+    distinct i, j in the index range and |m| < n, solving for the one m.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -95,16 +95,10 @@ def genericity_witness(
     start = 1 if index_mode is IndexMode.LITERAL else 0
     for i, j in permutations(range(start, stability.ell), 2):
         diff = stability.theta[i] - stability.theta[j]
-        for m in range(-(n - 1), n):
-            if diff == total * m:
-                return GenericityWitness("difference", i, j, m)
+        m = diff.b / total.b if total.b else diff.a / total.a
+        if m.denominator == 1 and abs(m) < n and diff == total * m:
+            return GenericityWitness("difference", i, j, int(m))
     return None
-
-
-def is_generic(
-    stability: Stability, n: int, index_mode: IndexMode = IndexMode.LITERAL
-) -> bool:
-    return genericity_witness(stability, n, index_mode) is None
 
 
 @dataclass(frozen=True)
@@ -175,11 +169,6 @@ def aspherical_witnesses(p: Params, n: int) -> list[KappaFraction | ContentHyper
         witnesses += [ContentHyperplane(i, m, N, j) for N, j in solved
                       if N >= 1 and is_N_in_bound(n, m, i, p.ell, N)]
     return witnesses
-
-
-def is_spherical(p: Params, n: int) -> bool:
-    """Whether p avoids every aspherical hyperplane."""
-    return not aspherical_witnesses(p, n)
 
 
 def theta_of_p(p: Params) -> Stability:

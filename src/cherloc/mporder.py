@@ -51,15 +51,11 @@ class OrderInstance:
             classes = Counter(self._keys[k] // span for k in ids)
             self._compiled[mp] = frozenset(ids), tuple(sorted(classes.items()))
 
-    @property
-    def ell(self) -> int:
-        return self.p.ell
-
     def _compiled_label(self, mp: Multipartition) -> tuple[frozenset[int], tuple]:
         compiled = self._compiled.get(mp)
         if compiled is None:
             # Every ell-multipartition of n is a label, so mp is malformed.
-            if mp.ell != self.ell:
+            if mp.ell != self.p.ell:
                 raise ValueError("multipartition has the wrong number of components")
             if mp.n != self.n:
                 raise ValueError("multipartition has the wrong size")

@@ -13,6 +13,7 @@ class Relation:
 
     Bit b of rows[a] is set when label a relates to label b; a row may also
     be given as k truth values.  matrix, the per-entry form, is derived.
+    Labels are told apart by their JSON texts: 1, 1.0 and true are three.
     """
 
     labels: tuple[Hashable, ...]
@@ -25,7 +26,8 @@ class Relation:
             not 0 <= row < 1 << k if isinstance(row, int) else len(row) != k for row in rows
         ):
             raise ValueError("matrix shape must match the label count")
-        if len(set(labels)) != k:
+        # A set merges 1, 1.0 and true; only its collisions need the JSON texts.
+        if len(set(labels)) != k and len(set(map(_label_text, labels))) != k:
             raise ValueError("labels must be unique")
         rows = tuple(row if isinstance(row, int) else _packed([*map(bool, row)]) for row in rows)
         object.__setattr__(self, "labels", labels)
@@ -40,7 +42,8 @@ class Relation:
         return tuple(tuple(map(bool, _entries(row, self.size))) for row in self.rows)
 
     def holds(self, a: Hashable, b: Hashable) -> bool:
-        return bool(self.rows[self.labels.index(a)] >> self.labels.index(b) & 1)
+        texts = [*map(_label_text, self.labels)]
+        return bool(self.rows[texts.index(_label_text(a))] >> texts.index(_label_text(b)) & 1)
 
     def to_json(self) -> dict:
         return {
@@ -82,6 +85,10 @@ def _packed(row: list) -> int:
 def _entries(row: int, k: int) -> bytes:
     """The k entries of a bit row as bytes 0 and 1, label 0 first."""
     return format(row, f"0{k}b").encode()[::-1].translate(_ENTRY)
+
+
+def _label_text(label) -> str:
+    return json.dumps(label, default=repr)
 
 
 def label_json(label):
@@ -238,8 +245,7 @@ def is_partial_order(rel: Relation) -> OrderViolation | None:
 
 
 def _require_same_labels(r1: Relation, r2: Relation) -> None:
-    # Compared as JSON: the labels 1, 1.0 and true are equal in Python only.
-    if json.dumps(r1.labels, default=repr) != json.dumps(r2.labels, default=repr):
+    if _label_text(r1.labels) != _label_text(r2.labels):
         raise ValueError("relations are over different label tuples")
 
 
@@ -291,12 +297,10 @@ def hasse(rel: Relation) -> Relation:
 
 def to_dot(rel: Relation) -> str:
     """Deterministic DOT text for the Hasse diagram of a partial order."""
-    import json
-
     diagram = hasse(rel)
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for idx, label in enumerate(diagram.labels):
-        text = json.dumps(label_json(label), separators=(",", ":"))
+        text = json.dumps(label, separators=(",", ":"))
         lines.append(f'  n{idx} [label="{text.replace(chr(34), chr(39))}"];')
     for a, row in enumerate(diagram.rows):
         lines.extend(f"  n{a} -> n{b};" for b in _bits(row))

@@ -26,7 +26,6 @@ from cherloc import (
     Stability,
     aspherical_witnesses,
     box_equiv,
-    box_leq,
     box_less,
     boxes,
     common_refinement,
@@ -83,13 +82,13 @@ def leq_p_oracle(inst, lam, mu, bound=6):
     Only the box predicate is shared with leq_p; the matching algorithm
     is not involved.  The box predicate is tabulated once per pair.
     """
-    if lam.ell != inst.ell or mu.ell != inst.ell:
+    if lam.ell != inst.p.ell or mu.ell != inst.p.ell:
         raise ValueError("multipartition has the wrong number of components")
     if lam.n != inst.n or mu.n != inst.n:
         raise ValueError("multipartition has the wrong size")
     if inst.n > bound:
         raise ValueError(f"oracle limited to n <= {bound}")
-    below = [[box_leq(inst.p, a, b) for b in boxes(mu)] for a in boxes(lam)]
+    below = [[a == b or box_less(inst.p, a, b) for b in boxes(mu)] for a in boxes(lam)]
     return any(
         all(below[a][b] for a, b in enumerate(image))
         for image in itertools.permutations(range(len(below)))

@@ -10,7 +10,6 @@ from cherloc import (
     KappaMode,
     Params,
     box_equiv,
-    box_leq,
     box_less,
     cont,
     content_class_key,
@@ -73,6 +72,7 @@ def test_equiv_and_less_single_component():
     assert not box_less(p, b, a)
     assert not box_equiv(p, a, c)  # contents 0 and 1/2
     assert not box_less(p, a, c)
+    assert not box_less(p, Box(2, 2, 0), Box(1, 1, 0))  # equal content, distinct boxes
 
 
 def test_equiv_across_components_uses_index_offset():
@@ -84,12 +84,6 @@ def test_equiv_across_components_uses_index_offset():
     assert not box_less(p, a, b)
     # a kappa offset breaks comparability in formal mode
     assert not box_equiv(p, Box(1, 2, 0), b)
-
-
-def test_box_leq_is_reflexive_on_identical_boxes():
-    p = Params.build(HALF, [0])
-    assert box_leq(p, Box(2, 2, 0), Box(2, 2, 0))
-    assert not box_leq(p, Box(2, 2, 0), Box(1, 2, 0))  # equal content, distinct boxes
 
 
 def test_equivalence_relation_properties():

@@ -445,6 +445,16 @@ def test_relation_files_over_different_json_labels_exit_2(capsys, tmp_path, othe
     assert err == "cherloc: relations are over different label tuples\n"
 
 
+@pytest.mark.parametrize("labels", [[1, True], [1, 1.0]])
+def test_labels_equal_only_in_python_are_distinct(capsys, tmp_path, labels):
+    relation = {"labels": labels, "matrix": [[1, 0], [0, 1]]}
+    path = tmp_path / "relation.json"
+    path.write_text(json.dumps(relation))
+    code, out, err = run_cli(capsys, "common-refinement", str(path), str(path))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(relation, indent=2, sort_keys=True) + "\n"
+
+
 def test_true_and_false_entries_read_as_1_and_0(capsys, tmp_path):
     bits = [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
     outputs = []

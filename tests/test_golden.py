@@ -185,12 +185,16 @@ def _cases():
     ]:
         argv = ["spherical", "--ell", ell, "--n", n, f"--kappa={kappa}"]
         cases.append(argv + ([f"--h={h}"] if h else []))
-    for ell, kappa, theta in [
-        ("2", "1/2", "1/3,1/5"), ("2", "1/2", "1,1/5"), ("3", "formal", "k,1/3,1/5"),
-        ("3", "formal", "1/2,1/3,1/5"), ("1", "-1", "1/3"),
+    for ell, n, kappa, theta in [
+        ("2", "2", "1/2", "1/3,1/5"), ("2", "2", "1/2", "1,1/5"),
+        ("3", "2", "formal", "k,1/3,1/5"), ("3", "2", "formal", "1/2,1/3,1/5"),
+        ("1", "2", "-1", "1/3"),
+        # Difference witnesses with |m| = 2, and the same theta at n = 2, where it is generic.
+        ("3", "3", "1", "-4,13/2,1/2"), ("3", "2", "1", "-4,13/2,1/2"),
+        ("3", "3", "formal", "1+k,-1-k,1+k"),
     ]:
         for mode in ("literal", "include-zero"):
-            cases.append(["generic", "--ell", ell, "--n", "2", f"--kappa={kappa}",
+            cases.append(["generic", "--ell", ell, "--n", n, f"--kappa={kappa}",
                           f"--theta={theta}", "--index-mode", mode])
     for ell, kappa, h in [
         ("1", "1/2", None), ("2", "formal", "1/4,-1/4"), ("3", "-2/3", "1/5,0,-1/5"),

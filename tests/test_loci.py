@@ -1,11 +1,13 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from cherloc import (
     ContentHyperplane,
+    GenericityWitness,
     IndexMode,
     KappaFraction,
     KappaMode,
@@ -14,9 +16,7 @@ from cherloc import (
     aspherical_witnesses,
     genericity_witness,
     index_classes,
-    is_generic,
     is_N_in_bound,
-    is_spherical,
     theta_of_p,
 )
 
@@ -31,20 +31,20 @@ def test_zero_sum_is_never_generic():
     mode = KappaMode.rational(1)
     witness = genericity_witness(theta_of(mode, 0), 5)
     assert witness.kind == "sum"
-    assert not is_generic(theta_of(mode, 1, -1), 2)
+    assert genericity_witness(theta_of(mode, 1, -1), 2) == GenericityWitness("sum")
 
 
 def test_genericity_needs_nonnegative_n():
     theta = theta_of(KappaMode.rational(1), 1, 2)
     with pytest.raises(ValueError, match="need n >= 0"):
         genericity_witness(theta, -2)
-    assert is_generic(theta, 0)
+    assert genericity_witness(theta, 0) is None
 
 
 def test_literal_mode_skips_component_zero():
     p = Params.build(KappaMode.rational(Fraction(3, 2)), [0, 0])
     theta = theta_of_p(p)
-    assert is_generic(theta, 2, IndexMode.LITERAL)
+    assert genericity_witness(theta, 2, IndexMode.LITERAL) is None
     witness = genericity_witness(theta, 2, IndexMode.INCLUDE_ZERO)
     assert (witness.kind, witness.i, witness.j, witness.m) == ("difference", 0, 1, 1)
 
@@ -53,7 +53,7 @@ def test_difference_condition_scans_small_multiples():
     mode = KappaMode.rational(1)
     # sum = 3, theta_1 - theta_2 = 6 = 2 * sum, caught only once n > 2
     theta = theta_of(mode, -4, Fraction(13, 2), Fraction(1, 2))
-    assert is_generic(theta, 2)
+    assert genericity_witness(theta, 2) is None
     witness = genericity_witness(theta, 3)
     assert (witness.i, witness.j, witness.m) == (1, 2, 2)
 
@@ -67,15 +67,15 @@ def test_include_zero_genericity_implies_literal():
         theta_of(mode, 0, 1),
     ]
     for theta in vectors:
-        if is_generic(theta, 4, IndexMode.INCLUDE_ZERO):
-            assert is_generic(theta, 4, IndexMode.LITERAL)
+        if genericity_witness(theta, 4, IndexMode.INCLUDE_ZERO) is None:
+            assert genericity_witness(theta, 4, IndexMode.LITERAL) is None
 
 
 def test_formal_theta_genericity_uses_both_coefficients():
     theta = Stability((FORMAL.scalar(0, -1), FORMAL.scalar(5)))
     # sum is 5 - kappa, never zero; difference -5 - kappa = m*(5 - kappa)
     # would force m = 1 and -5 = 5 at the constant part
-    assert is_generic(theta, 9, IndexMode.INCLUDE_ZERO)
+    assert genericity_witness(theta, 9, IndexMode.INCLUDE_ZERO) is None
 
 
 def test_stability_json_round_trip():
@@ -118,7 +118,6 @@ def test_single_component_second_family_is_empty():
 def test_content_hyperplane_pinned_instance():
     p = Params.build(KappaMode.rational(1), [Fraction(1, 4), Fraction(-1, 4)])
     assert aspherical_witnesses(p, 1) == [ContentHyperplane(1, 0, 1, 0)]
-    assert not is_spherical(p, 1)
 
     formal = Params.build(FORMAL, [Fraction(1, 4), Fraction(-1, 4)])
     assert aspherical_witnesses(formal, 1) == [ContentHyperplane(1, 0, 1, 0)]
@@ -252,3 +251,75 @@ def test_solved_scan_equals_the_stepping_oracle():
 def test_index_classes_equal_the_pairwise_oracle():
     for p, _ in SHIFT_GRID:
         assert index_classes(p) == index_classes_pairwise(p), p
+
+
+def genericity_witness_oracle(stability, n, index_mode):
+    """Oracle: genericity_witness as first written, stepping m through
+    -(n-1)..n-1 for each pair."""
+    total = stability.total()
+    if total.is_zero:
+        return GenericityWitness("sum")
+    start = 1 if index_mode is IndexMode.LITERAL else 0
+    for i, j in permutations(range(start, stability.ell), 2):
+        diff = stability.theta[i] - stability.theta[j]
+        for m in range(-(n - 1), n):
+            if diff == total * m:
+                return GenericityWitness("difference", i, j, m)
+    return None
+
+
+def genericity_grid(seed=11):
+    """(theta, n, index mode, planted (i, j, m) or None) for ell 1..4 and
+    n 0..9, rational and formal, in both index modes: random theta, theta
+    summing to zero, and theta with theta_i - theta_j = m*sum planted for
+    |m| <= n + 1 (entries other than i and j random, then theta_i and
+    theta_j solved from the sum and the difference)."""
+    rng = random.Random(seed)
+    kappas = [Fraction(1, 2), Fraction(-2, 3), Fraction(1), Fraction(5, 2)]
+
+    def entry(mode):
+        a = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5]))
+        return mode.scalar(a, 0 if mode.is_rational else rng.choice([0, 0, 1, -1, 2]))
+
+    grid = []
+    for ell in range(1, 5):
+        for n in range(10):
+            for mode in (KappaMode.rational(rng.choice(kappas)), FORMAL):
+                for index_mode in IndexMode:
+                    for _ in range(3):
+                        grid.append((Stability(tuple(entry(mode) for _ in range(ell))),
+                                     n, index_mode, None))
+                    theta = [entry(mode) for _ in range(ell)]
+                    theta[-1] -= sum(theta, mode.zero())
+                    grid.append((Stability(tuple(theta)), n, index_mode, None))
+                    start = 1 if index_mode is IndexMode.LITERAL else 0
+                    if ell - start < 2:
+                        continue
+                    for _ in range(6):
+                        i, j = rng.sample(range(start, ell), 2)
+                        m = rng.randint(-(n + 1), n + 1)
+                        theta = [entry(mode) for _ in range(ell)]
+                        total = entry(mode)
+                        if total.is_zero:
+                            continue
+                        rest = sum((x for k, x in enumerate(theta) if k not in (i, j)),
+                                   mode.zero())
+                        theta[i] = (total - rest + total * m) / 2
+                        theta[j] = (total - rest - total * m) / 2
+                        grid.append((Stability(tuple(theta)), n, index_mode, (i, j, m)))
+    return grid
+
+
+def test_solved_genericity_equals_the_stepping_oracle():
+    differences = Counter()
+    unreported = 0
+    for theta, n, index_mode, planted in genericity_grid():
+        witness = genericity_witness(theta, n, index_mode)
+        assert witness == genericity_witness_oracle(theta, n, index_mode), (theta, n, index_mode)
+        if witness is not None and witness.kind == "difference" and witness.m != 0:
+            differences[theta.mode.is_rational] += 1
+        if planted is not None and abs(planted[2]) == n:
+            assert witness != GenericityWitness("difference", *planted)
+            unreported += 1
+    assert min(differences[True], differences[False]) >= 100, differences
+    assert unreported >= 1

@@ -320,6 +320,18 @@ def test_relation_file_rows_must_match_the_labels():
     assert Relation.from_json(bits) == Relation.from_json(bools) == Relation((1, 2), [3, 2])
 
 
+def test_labels_are_told_apart_by_json_text():
+    # 1, 1.0 and true are equal in Python; only their JSON texts differ.
+    rel = Relation((1, True), [0b01, 0b11])
+    assert rel.holds(True, 1) and rel.holds(True, True) and not rel.holds(1, True)
+    with pytest.raises(ValueError):
+        rel.holds(1.0, 1)
+    assert Relation((1, 1.0, True, (1, 2), (True, 2)), [0] * 5).size == 5
+    for labels in ((1, 1), ("a", "a"), ((1, 2), (1, 2))):
+        with pytest.raises(ValueError, match="^labels must be unique$"):
+            Relation(labels, [0, 0])
+
+
 def test_closure_of_chain_adds_long_edge():
     chain = rel("abc", [("a", "b"), ("b", "c")], reflexive=False)
     closed = transitive_closure(chain)
