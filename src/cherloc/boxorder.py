@@ -56,7 +56,7 @@ class Params:
 
     @property
     def kappa_s(self) -> tuple[ParamScalar, ...]:
-        """kappa*s_i = h_i + i/ell; the box order (ContentTable, box_equiv) shifts by -i/ell."""
+        """kappa*s_i = h_i + i/ell; the box order (content_table, box_equiv) shifts by -i/ell."""
         return tuple(entry + Fraction(i, self.ell) for i, entry in enumerate(self.h))
 
     def to_json(self) -> dict:
@@ -73,6 +73,8 @@ class Params:
         mode = KappaMode.from_label(data["kappa"])
         h = tuple(ParamScalar.from_json(entry, mode) for entry in data["h"])
         p = cls(mode, h)
+        if type(data["ell"]) is not int:
+            raise ValueError("params field 'ell' must be of type int")
         if p.ell != data["ell"]:
             raise ValueError("ell does not match the number of offsets")
         return p
@@ -112,9 +114,8 @@ def content_class_key(p: Params, box: Box):
     return (shifted.b, shifted.a % 1)
 
 
-@dataclass(frozen=True)
-class ContentTable:
-    """The contents of relevant_boxes(ell, n), compiled to exact integers.
+def content_table(p: Params, n: int) -> dict[Box, tuple[int, int]]:
+    """The contents of relevant_boxes(ell, n), compiled to exact integers; {} for n = 0.
 
     Every content is scaled by one common denominator D = lcm(ell, the
     denominator of kappa, the denominators of the h_i), so D*a is an
@@ -130,25 +131,18 @@ class ContentTable:
     is then a multiple of D, and |i - i'| < ell leaves only i = i'.  So
     no tie between components ever has to be broken.
     """
-
-    denominator: int
-    entries: dict[Box, tuple[int, int]]
-
-    @classmethod
-    def compile(cls, p: Params, n: int) -> ContentTable:
-        """Build the table for (p, n); empty for n = 0."""
-        kappa = p.kappa  # a = the value of kappa (0 if formal), b = 1 if formal
-        D = lcm(p.ell, kappa.a.denominator, *(entry.a.denominator for entry in p.h))
-        step = D // p.ell
-        base = [int(entry.a * D) for entry in p.h]
-        slope = int(kappa.a * D)
-        E = lcm(*(entry.b.denominator for entry in p.h))
-        kappa_base = [int(entry.b * E) for entry in p.h]
-        kappa_slope = int(kappa.b * E)
-        entries = {}
-        for box in relevant_boxes(p.ell, n) if n else ():
-            diagonal = box.y - box.x
-            content = base[box.i] + slope * diagonal
-            kappa_part = kappa_base[box.i] + kappa_slope * diagonal
-            entries[box] = (kappa_part * D + (content - step * box.i) % D, content)
-        return cls(D, entries)
+    kappa = p.kappa  # a = the value of kappa (0 if formal), b = 1 if formal
+    D = lcm(p.ell, kappa.a.denominator, *(entry.a.denominator for entry in p.h))
+    step = D // p.ell
+    base = [int(entry.a * D) for entry in p.h]
+    slope = int(kappa.a * D)
+    E = lcm(*(entry.b.denominator for entry in p.h))
+    kappa_base = [int(entry.b * E) for entry in p.h]
+    kappa_slope = int(kappa.b * E)
+    entries = {}
+    for box in relevant_boxes(p.ell, n) if n else ():
+        diagonal = box.y - box.x
+        content = base[box.i] + slope * diagonal
+        kappa_part = kappa_base[box.i] + kappa_slope * diagonal
+        entries[box] = (kappa_part * D + (content - step * box.i) % D, content)
+    return entries

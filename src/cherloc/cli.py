@@ -82,6 +82,8 @@ class JobSpec:
         _guard_sizes(ells, data.get("n"), options.get("max_n"))
         params = Params.from_json(data["params"]) if data.get("params") else None
         theta = Stability.from_json(data["theta"]) if data.get("theta") else None
+        if type(ells[0]) is int and any(size not in (None, ells[0]) for size in ells[1:]):
+            raise ValueError("job field 'ell' must equal the lengths of params.h and theta.theta")
         inputs = _field(data, "inputs", list, [])
         if not all(isinstance(path, str) for path in inputs):
             raise ValueError("job field 'inputs' must list file paths")

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from itertools import count, islice
 from math import lcm
 
-from .boxorder import ContentTable, Params
-from .combinatorics import Box, relevant_boxes
+from .boxorder import Params, content_table
+from .combinatorics import Box
 from .loci import (
     IndexMode,
     Stability,
@@ -111,7 +111,7 @@ def index_classes(p: Params) -> list[list[int]]:
 def verify_preservation(p: Params, p2: Params, n: int) -> PreservationViolation | None:
     """Check that p and p2 induce the same box order on the full grid.
 
-    Reads both orders off compiled ContentTables: two boxes are
+    Reads both orders off the content_table of each: two boxes are
     equivalent when their class ids agree, and b1 < b2 when besides
     b1 has the smaller integer content.  Walks the ordered pairs of
     relevant_boxes(ell, n), b1 outer, testing equivalence before order;
@@ -119,13 +119,12 @@ def verify_preservation(p: Params, p2: Params, n: int) -> PreservationViolation 
     """
     if p.ell != p2.ell:
         raise ValueError("parameter vectors have different lengths")
-    grid = relevant_boxes(p.ell, n)
-    old = ContentTable.compile(p, n).entries
-    new = ContentTable.compile(p2, n).entries
-    for b1 in grid:
-        (old_class1, old_content1), (new_class1, new_content1) = old[b1], new[b1]
-        for b2 in grid:
-            (old_class2, old_content2), (new_class2, new_content2) = old[b2], new[b2]
+    if n < 1:
+        raise ValueError("need n >= 1")
+    old, new = content_table(p, n), content_table(p2, n)
+    grid = [(box, *old[box], *new[box]) for box in old]
+    for b1, old_class1, old_content1, new_class1, new_content1 in grid:
+        for b2, old_class2, old_content2, new_class2, new_content2 in grid:
             before, after = old_class1 == old_class2, new_class1 == new_class2
             if before != after:
                 return PreservationViolation(b1, b2, "equiv", before, after)

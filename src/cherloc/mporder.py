@@ -14,10 +14,9 @@ of lambda is below the k-th smallest content of mu, for every k.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .boxorder import ContentTable, Params
+from .boxorder import Params, content_table
 from .combinatorics import Multipartition, boxes, enumerate_multipartitions
 from .poset import Relation
 
@@ -32,14 +31,14 @@ class OrderInstance:
     # box id -> class id * span + content - lowest content: sorting these
     # groups boxes by class, and by content inside a class.
     _keys: list[int] = field(init=False, repr=False)
-    # label -> (its box ids, (class id, box count) for every class it has boxes in)
+    # label -> (its box ids, the sorted class ids of its boxes)
     _compiled: dict[Multipartition, tuple[frozenset[int], tuple]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("need n >= 0")
         self.labels = tuple(enumerate_multipartitions(self.p.ell, self.n))
-        entries = ContentTable.compile(self.p, self.n).entries
+        entries = content_table(self.p, self.n)
         box_ids = {box: k for k, box in enumerate(entries)}
         contents = [content for _, content in entries.values()]
         low = min(contents, default=0)
@@ -48,8 +47,7 @@ class OrderInstance:
         self._compiled = {}
         for mp in self.labels:
             ids = [box_ids[box] for box in boxes(mp)]
-            classes = Counter(self._keys[k] // span for k in ids)
-            self._compiled[mp] = frozenset(ids), tuple(sorted(classes.items()))
+            self._compiled[mp] = frozenset(ids), tuple(sorted(self._keys[k] // span for k in ids))
 
     def _compiled_label(self, mp: Multipartition) -> tuple[frozenset[int], tuple]:
         compiled = self._compiled.get(mp)

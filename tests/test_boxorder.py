@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -6,13 +7,13 @@ from hypothesis import strategies as st
 
 from cherloc import (
     Box,
-    ContentTable,
     KappaMode,
     Params,
     box_equiv,
     box_less,
     cont,
     content_class_key,
+    content_table,
     relevant_boxes,
 )
 
@@ -138,15 +139,16 @@ def table_params():
 
 def test_content_table_agrees_with_the_box_predicates():
     for p in table_params():
-        table = ContentTable.compile(p, 3)
+        table = content_table(p, 3)
         grid = relevant_boxes(p.ell, 3)
-        assert list(table.entries) == grid
+        assert list(table) == grid
+        D = lcm(p.ell, p.kappa.a.denominator, *(entry.a.denominator for entry in p.h))
         for a in grid:
-            class_a, content_a = table.entries[a]
+            class_a, content_a = table[a]
             assert isinstance(class_a, int) and isinstance(content_a, int)
-            assert Fraction(content_a, table.denominator) == cont(p, a).a
+            assert Fraction(content_a, D) == cont(p, a).a
             for b in grid:
-                class_b, content_b = table.entries[b]
+                class_b, content_b = table[b]
                 assert (class_a == class_b) == box_equiv(p, a, b)
                 assert (class_a == class_b and content_a < content_b) == box_less(p, a, b)
                 # Class ids sort like the (kappa coefficient, residue) keys.
@@ -158,7 +160,7 @@ def test_content_table_ties_stay_inside_one_component():
     # Equal content inside one class forces the same component, so no
     # tie between components needs breaking.
     for p in table_params():
-        entries = ContentTable.compile(p, 3).entries
+        entries = content_table(p, 3)
         for a in entries:
             for b in entries:
                 if entries[a] == entries[b]:
@@ -167,8 +169,9 @@ def test_content_table_ties_stay_inside_one_component():
 
 def test_content_table_denominator_and_empty_grid():
     p = Params.build(KappaMode.rational(Fraction(2, 3)), [Fraction(1, 4), Fraction(-1, 4)])
-    assert ContentTable.compile(p, 2).denominator == 12
-    assert ContentTable.compile(p, 0).entries == {}
+    # D = lcm(2, 3, 4) = 12, so h_0 = 1/4 scales to 3.
+    assert content_table(p, 2)[Box(1, 1, 0)][1] == 3
+    assert content_table(p, 0) == {}
 
 
 def test_content_class_key_matches_equivalence():

@@ -332,6 +332,14 @@ def assert_names_a_missing_field(case, err):
         MISSING_FIELD["a"],
         {"command": "localize", "n": 2, "options": {"oracle_bound": -1},
          "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}]}},
+        # a top-level ell that disagrees with params or theta
+        {"command": "order", "ell": 3, "n": 2,
+         "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0"}]}},
+        {"command": "generic", "ell": 3, "n": 2,
+         "theta": {"kappa": "1/2", "theta": [{"a": "1"}, {"a": "2"}]}},
+        # a params ell that is not an int
+        {"command": "theta", "params": {"ell": True, "kappa": "1/2", "h": [{"a": "0"}]}},
+        {"command": "theta", "params": {"ell": 1.0, "kappa": "1/2", "h": [{"a": "0"}]}},
     ],
 )
 def test_malformed_job_file_exits_2_with_one_line(capsys, tmp_path, job):

@@ -418,6 +418,13 @@ def test_preservation_is_reflexive():
     assert verify_preservation(p, p, 3) is None
 
 
+def test_preservation_refuses_an_empty_grid():
+    p = Params.build(HALF, [Fraction(1, 4), Fraction(-1, 4)])
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            verify_preservation(p, p, n)
+
+
 def test_plan_requires_strictly_increasing_m():
     with pytest.raises(ValueError):
         DeformPlan(m=(0, 0), M=2)

@@ -167,6 +167,7 @@ def _cases():
         ("2", "2", "-1", "0,1/2"), ("3", "2", "formal", "0,1/3,2/3"),
         ("3", "2", "formal", "0,-1/3,-2/3"), ("3", "2", "1/2", "0,1/3,2/3"),
         ("2", "2", "formal", "k,1/2"), ("4", "1", "2/3", "1/7,2/7,3/7,0"),
+        ("2", "3", "formal", "1/4-3k,-1/4-k"),
     ]:
         argv = ["order", "--ell", ell, "--n", n, f"--kappa={kappa}"]
         cases.append(argv + ([f"--h={h}"] if h else []))
@@ -196,9 +197,14 @@ def _cases():
         for mode in ("literal", "include-zero"):
             cases.append(["generic", "--ell", ell, "--n", n, f"--kappa={kappa}",
                           f"--theta={theta}", "--index-mode", mode])
+    # A zero-sum theta: the "sum" witness.
+    cases += [["generic", "--ell", "2", "--n", "2", "--kappa", "1/2", "--theta=1/2,-1/2"],
+              ["generic", "--ell", "2", "--n", "2", "--kappa", "formal", "--theta=k,-k"]]
     for ell, kappa, h in [
         ("1", "1/2", None), ("2", "formal", "1/4,-1/4"), ("3", "-2/3", "1/5,0,-1/5"),
         ("3", "formal", "k,1/3,2-k"),
+        # Kappa coefficients other than +-1.
+        ("2", "formal", "1/2-3k,3/4k"),
     ]:
         argv = ["theta", "--ell", ell, f"--kappa={kappa}"]
         cases.append(argv + ([f"--h={h}"] if h else []))
