@@ -113,6 +113,15 @@ def _field(data: dict, key: str, kind: type, default=None):
     return value
 
 
+def _read_json(path: str):
+    """The JSON value held in a job or relation file; NaN and Infinity are not JSON."""
+    def refuse(token: str):
+        raise ValueError(f"not JSON: {token}")
+
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle, parse_constant=refuse)
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -160,7 +169,7 @@ def _run_generic(job: JobSpec) -> tuple[dict, int]:
     artifact = {
         "generic": witness is None,
         "index_mode": job.index_mode.value,
-        "witness": None if witness is None else witness.to_json(),
+        "witness": witness,
     }
     return artifact, 0 if witness is None else 1
 
@@ -180,8 +189,7 @@ def _run_localize(job: JobSpec) -> tuple[dict, int]:
 def _run_common_refinement(job: JobSpec) -> tuple[dict | Relation, int]:
     relations = []
     for path in job.inputs:
-        with open(path, encoding="utf-8") as handle:
-            relations.append(Relation.from_json(json.load(handle)))
+        relations.append(Relation.from_json(_read_json(path)))
     result = common_refinement(*relations)
     if result.order is not None:
         return result.order, 0
@@ -301,12 +309,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "job":
-            with open(args.jobfile, encoding="utf-8") as handle:
-                job = JobSpec.from_json(json.load(handle))
+            job = JobSpec.from_json(_read_json(args.jobfile))
         else:
             job = _job_from_args(args)
         return run(job)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
+    except RecursionError:
+        print("cherloc: input nested too deeply", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, KeyError) as err:
         message = f"missing field {err}" if isinstance(err, KeyError) else err
         print(f"cherloc: {message}", file=sys.stderr)
         return 2

@@ -17,7 +17,6 @@ from itertools import count, islice
 from math import lcm
 
 from .boxorder import Params, content_table
-from .combinatorics import Box
 from .loci import (
     IndexMode,
     Stability,
@@ -65,36 +64,6 @@ class DeformPlan:
         return {"M": self.M, "m": list(self.m), "kappa_shift": kappa_shift}
 
 
-@dataclass(frozen=True)
-class PreservationViolation:
-    b1: Box
-    b2: Box
-    predicate: str  # "equiv" | "less"
-    before: bool
-    after: bool
-
-    def to_json(self) -> dict:
-        return {
-            "b1": list(self.b1),
-            "b2": list(self.b2),
-            "predicate": self.predicate,
-            "before": self.before,
-            "after": self.after,
-        }
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One named certificate check; passed is None for informational entries."""
-
-    name: str
-    passed: bool | None
-    detail: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-
 def index_classes(p: Params) -> list[list[int]]:
     """Partition of the component indices by s_i - s_j in (1/kappa)*Z.
 
@@ -108,14 +77,15 @@ def index_classes(p: Params) -> list[list[int]]:
     return list(classes.values())
 
 
-def verify_preservation(p: Params, p2: Params, n: int) -> PreservationViolation | None:
+def verify_preservation(p: Params, p2: Params, n: int) -> dict | None:
     """Check that p and p2 induce the same box order on the full grid.
 
     Reads both orders off the content_table of each: two boxes are
     equivalent when their class ids agree, and b1 < b2 when besides
     b1 has the smaller integer content.  Walks the ordered pairs of
     relevant_boxes(ell, n), b1 outer, testing equivalence before order;
-    returns the first disagreement, or None.
+    returns the first disagreement as {"b1", "b2", "predicate", "before",
+    "after"}, or None.
     """
     if p.ell != p2.ell:
         raise ValueError("parameter vectors have different lengths")
@@ -127,11 +97,13 @@ def verify_preservation(p: Params, p2: Params, n: int) -> PreservationViolation 
         for b2, old_class2, old_content2, new_class2, new_content2 in grid:
             before, after = old_class1 == old_class2, new_class1 == new_class2
             if before != after:
-                return PreservationViolation(b1, b2, "equiv", before, after)
+                return {"b1": [*b1], "b2": [*b2], "predicate": "equiv",
+                        "before": before, "after": after}
             before = before and old_content1 < old_content2
             after = after and new_content1 < new_content2
             if before != after:
-                return PreservationViolation(b1, b2, "less", before, after)
+                return {"b1": [*b1], "b2": [*b2], "predicate": "less",
+                        "before": before, "after": after}
     return None
 
 
@@ -147,32 +119,24 @@ def _integral_difference_failure(p: Params, p2: Params) -> dict | None:
     return None
 
 
-def required_checks(
-    p: Params, p2: Params, n: int, index_mode: IndexMode
-) -> Iterator[CheckResult]:
+def required_checks(p: Params, p2: Params, n: int, index_mode: IndexMode) -> Iterator[dict]:
     """The checks a candidate must pass, in order, each run when reached.
 
-    The candidate search stops at the first failed check; localize runs
-    them all again as its independent re-check.  A passed check carries
-    the detail the certificate records; a failed one carries the
-    witness the search reports.
+    A check is {"name", "passed", "detail"}; passed is None for the
+    informational entries localize appends.  The candidate search stops
+    at the first failed check; localize runs them all again as its
+    independent re-check.  A passed check carries the detail the
+    certificate records; a failed one carries the witness the search
+    reports.
     """
     failure = _integral_difference_failure(p, p2)
-    yield CheckResult("integral_difference", failure is None, failure or {})
+    yield {"name": "integral_difference", "passed": failure is None, "detail": failure or {}}
     violation = verify_preservation(p, p2, n)
-    yield CheckResult(
-        "box_order_preserved",
-        violation is None,
-        {"n": n} if violation is None else violation.to_json(),
-    )
+    yield {"name": "box_order_preserved", "passed": violation is None,
+           "detail": violation or {"n": n}}
     witness = genericity_witness(theta_of_p(p2), n, index_mode)
-    yield CheckResult(
-        "theta_generic",
-        witness is None,
-        {"index_mode": index_mode.value}
-        if witness is None
-        else {"witness": witness.to_json()},
-    )
+    detail = {"witness": witness} if witness else {"index_mode": index_mode.value}
+    yield {"name": "theta_generic", "passed": witness is None, "detail": detail}
 
 
 def _search(
@@ -188,10 +152,10 @@ def _search(
     for p2, plan in candidates:
         attempts += 1
         checks = required_checks(p, p2, n, index_mode)
-        failed = next((check for check in checks if not check.passed), None)
+        failed = next((check for check in checks if not check["passed"]), None)
         if failed is None:
             return p2, plan
-        last = {"plan": plan.to_json(), "failure": {"check": failed.name, **failed.detail}}
+        last = {"plan": plan.to_json(), "failure": {"check": failed["name"], **failed["detail"]}}
     raise DeformationError(
         "no deformation candidate passed verification",
         {**diagnostics, "candidates_tried": attempts, "last": last},
@@ -295,15 +259,13 @@ class Certificate:
     p_prime: Params
     theta: Stability
     plan: DeformPlan
-    checks: tuple[CheckResult, ...]
-    assumed_lemmas: tuple[str, str] = ASSUMED_LEMMAS
+    checks: tuple[dict, ...]
     conventions: dict = field(default_factory=dict)
+    assumed_lemmas = ASSUMED_LEMMAS
 
     def __post_init__(self) -> None:
-        if any(check.passed is False for check in self.checks):
+        if any(check["passed"] is False for check in self.checks):
             raise ValueError("certificates cannot carry failed checks")
-        if len(self.assumed_lemmas) != 2:
-            raise ValueError("exactly two assumed lemmas are recorded")
 
     def to_json(self) -> dict:
         return {
@@ -311,7 +273,7 @@ class Certificate:
             "p_prime": self.p_prime.to_json(),
             "theta": self.theta.to_json(),
             "plan": self.plan.to_json(),
-            "checks": [check.to_json() for check in self.checks],
+            "checks": [dict(check) for check in self.checks],
             "assumed_lemmas": list(self.assumed_lemmas),
             "conventions": dict(self.conventions),
         }
@@ -335,15 +297,15 @@ def localize(p: Params, n: int, options: LocalizeOptions | None = None) -> Certi
     checks = list(required_checks(p, p2, n, options.index_mode))
     if n <= options.oracle_bound:
         same = relation_p(OrderInstance(p, n)) == relation_p(OrderInstance(p2, n))
-        checks.append(CheckResult("order_relation_equal", same, {"n": n}))
+        checks.append({"name": "order_relation_equal", "passed": same, "detail": {"n": n}})
     else:
         skipped = {"skipped": f"n > {options.oracle_bound}"}
-        checks.append(CheckResult("order_relation_equal", None, skipped))
+        checks.append({"name": "order_relation_equal", "passed": None, "detail": skipped})
     witnesses = aspherical_witnesses(p, n)
     spherical = {"spherical": not witnesses, "witnesses": [w.to_json() for w in witnesses]}
-    checks.append(CheckResult("spherical", None, spherical))
+    checks.append({"name": "spherical", "passed": None, "detail": spherical})
 
-    failed = [check.name for check in checks if check.passed is False]
+    failed = [check["name"] for check in checks if check["passed"] is False]
     if failed:
         raise DeformationError(
             "verification failed after deformation",

@@ -66,24 +66,12 @@ class IndexMode(Enum):
     INCLUDE_ZERO = "include-zero"
 
 
-@dataclass(frozen=True)
-class GenericityWitness:
-    kind: str  # "sum" | "difference"
-    i: int | None = None
-    j: int | None = None
-    m: int | None = None
-
-    def to_json(self) -> dict:
-        if self.kind == "sum":
-            return {"kind": "sum"}
-        return {"kind": "difference", "i": self.i, "j": self.j, "m": self.m}
-
-
 def genericity_witness(
     stability: Stability, n: int, index_mode: IndexMode = IndexMode.LITERAL
-) -> GenericityWitness | None:
+) -> dict | None:
     """First violated genericity condition, or None when theta is generic.
 
+    The witness is {"kind": "sum"} or {"kind": "difference", "i", "j", "m"}.
     Checks sum(theta) != 0, then theta_i - theta_j != m*sum(theta) for all
     distinct i, j in the index range and |m| < n, solving for the one m.
     """
@@ -91,13 +79,13 @@ def genericity_witness(
         raise ValueError("need n >= 0")
     total = stability.total()
     if total.is_zero:
-        return GenericityWitness("sum")
+        return {"kind": "sum"}
     start = 1 if index_mode is IndexMode.LITERAL else 0
     for i, j in permutations(range(start, stability.ell), 2):
         diff = stability.theta[i] - stability.theta[j]
         m = diff.b / total.b if total.b else diff.a / total.a
         if m.denominator == 1 and abs(m) < n and diff == total * m:
-            return GenericityWitness("difference", i, j, int(m))
+            return {"kind": "difference", "i": i, "j": j, "m": int(m)}
     return None
 
 

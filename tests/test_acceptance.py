@@ -194,7 +194,7 @@ def test_criterion_4_deformation_soundness():
         started = time.monotonic()
         cert = localize(p, n)
         elapsed = time.monotonic() - started
-        named = {check.name: check.passed for check in cert.checks}
+        named = {check["name"]: check["passed"] for check in cert.checks}
         assert named["integral_difference"] is True
         assert named["box_order_preserved"] is True
         assert named["theta_generic"] is True

@@ -340,11 +340,17 @@ def assert_names_a_missing_field(case, err):
         # a params ell that is not an int
         {"command": "theta", "params": {"ell": True, "kappa": "1/2", "h": [{"a": "0"}]}},
         {"command": "theta", "params": {"ell": 1.0, "kappa": "1/2", "h": [{"a": "0"}]}},
+        # -Infinity is not JSON
+        {"command": "localize", "n": 2, "options": {"oracle_bound": float("-inf")},
+         "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}]}},
+        # nesting deeper than json.load recurses, written out as text
+        pytest.param('{"command": "theta", "params": ' + "[" * 100000 + "]" * 100000 + "}",
+                     id="params-nested-100000-deep"),
     ],
 )
 def test_malformed_job_file_exits_2_with_one_line(capsys, tmp_path, job):
     jobfile = tmp_path / "job.json"
-    jobfile.write_text(json.dumps(job))
+    jobfile.write_text(job if isinstance(job, str) else json.dumps(job))
     code, out, err = run_cli(capsys, "job", str(jobfile))
     assert code == 2
     assert out == ""
@@ -411,6 +417,23 @@ def test_h_defaults_to_zero_vector(capsys):
     assert json.loads(out)["matrix"] == [[1, 0], [0, 1]]
 
 
+def nested(depth):
+    """An empty list inside depth - 1 more lists."""
+    label = []
+    for _ in range(depth - 1):
+        label = [label]
+    return label
+
+
+def test_a_deeply_nested_label_within_the_recursion_limit_is_read(capsys, tmp_path):
+    relation = {"labels": [nested(450)], "matrix": [[1]]}
+    path = tmp_path / "relation.json"
+    path.write_text(json.dumps(relation))
+    code, out, err = run_cli(capsys, "common-refinement", str(path), str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == relation
+
+
 @pytest.mark.parametrize(
     "relation",
     [
@@ -430,6 +453,11 @@ def test_h_defaults_to_zero_vector(capsys):
         {"labels": [1, 2], "matrix": [[1, 256], [0, 1]]},
         # a ragged row
         {"labels": [1, 2], "matrix": [[1, 0], [0]]},
+        # NaN and Infinity are not JSON
+        {"labels": [float("inf"), 1], "matrix": [[1, 0], [0, 1]]},
+        {"labels": [float("nan"), float("nan")], "matrix": [[1, 0], [0, 1]]},
+        # a label nested deeper than reading it recurses
+        {"labels": [nested(600)], "matrix": [[1]]},
     ],
 )
 def test_malformed_relation_file_exits_2_with_one_line(capsys, tmp_path, relation):
