@@ -34,23 +34,10 @@ MAX_N_DEFAULT = 8
 
 
 def canonical_dumps(payload: dict | Relation) -> str:
-    """The canonical JSON text of an artifact.
-
-    A Relation is written straight from its bit rows, one reversed bit
-    string per row, in the bytes json.dumps would give for its to_json().
-    """
-    if not isinstance(payload, Relation):
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    k = payload.size
-    head = (json.dumps({"labels": payload.labels}, indent=2, sort_keys=True)[:-2]
-            + ',\n  "matrix": [')
-    if not k:
-        return head + "]\n}\n"
-    rows = ["    [\n      " + ",\n      ".join(format(row, f"0{k}b")[::-1]) + "\n    ]"
-            for row in payload.rows]
-    rows[0] = head + "\n" + rows[0]
-    rows[-1] += "\n  ]\n}\n"
-    return ",\n".join(rows)
+    """The canonical JSON text of an artifact; a Relation writes its own."""
+    if isinstance(payload, Relation):
+        return payload.dumps()
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @dataclass
@@ -80,6 +67,7 @@ class JobSpec:
         ells = [data.get("ell"), _length(data.get("params"), "h"),
                 _length(data.get("theta"), "theta")]
         _guard_sizes(ells, data.get("n"), options.get("max_n"))
+        _refuse_foreign_keys(data, options)
         params = Params.from_json(data["params"]) if data.get("params") else None
         theta = Stability.from_json(data["theta"]) if data.get("theta") else None
         if type(ells[0]) is int and any(size not in (None, ells[0]) for size in ells[1:]):
@@ -111,6 +99,17 @@ def _field(data: dict, key: str, kind: type, default=None):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"job field {key!r} must be of type {kind.__name__}")
     return value
+
+
+def _refuse_foreign_keys(data: dict, options: dict) -> None:
+    """Refuse a job key no flag of its command declares; run() reports unknown commands."""
+    if isinstance(data.get("command"), str) and data["command"] in COMMANDS:
+        flags = COMMANDS[data["command"]].arguments.split()
+        top = {"command", "options", *(_TOP_LEVEL.get(flag) for flag in flags)}
+        taken = {flag[2:].replace("-", "_") for flag in flags if flag not in _TOP_LEVEL}
+        foreign = [key for key in data if key not in top] + [k for k in options if k not in taken]
+        if foreign:
+            raise ValueError(f"{data['command']} takes no job field {foreign[0]!r}")
 
 
 def _read_json(path: str):
@@ -211,6 +210,10 @@ _ARGUMENTS = {
     "--retry-bound": {"type": int, "default": LocalizeOptions.retry_bound},
     "inputs": {"nargs": 2, "metavar": "RELATION_JSON"},
 }
+
+# Top-level job keys of flags; kappa rides in params or theta, other flags are options by dest.
+_TOP_LEVEL = {"--ell": "ell", "--n": "n", "--kappa": None, "--h": "params",
+              "--theta": "theta", "inputs": "inputs"}
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ an exhausted schedule raises with diagnostics of the last failure.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, islice
 from math import lcm
 
@@ -252,20 +252,29 @@ class Certificate:
 
     Every check with a boolean outcome has passed; informational entries
     carry passed = None.  The two standing assumptions that cannot be
-    checked mechanically are listed verbatim in assumed_lemmas.
+    checked mechanically are listed verbatim in assumed_lemmas.  theta and
+    conventions are read off p_prime and index_mode.
     """
 
     p: Params
     p_prime: Params
-    theta: Stability
     plan: DeformPlan
     checks: tuple[dict, ...]
-    conventions: dict = field(default_factory=dict)
+    index_mode: IndexMode = IndexMode.LITERAL
     assumed_lemmas = ASSUMED_LEMMAS
 
     def __post_init__(self) -> None:
         if any(check["passed"] is False for check in self.checks):
             raise ValueError("certificates cannot carry failed checks")
+
+    @property
+    def theta(self) -> Stability:
+        return theta_of_p(self.p_prime)
+
+    @property
+    def conventions(self) -> dict:
+        return {"h_normalization": "sum-zero", "p_prime_first_slot": "kappa-prime",
+                "genericity_index_mode": self.index_mode.value}
 
     def to_json(self) -> dict:
         return {
@@ -275,7 +284,7 @@ class Certificate:
             "plan": self.plan.to_json(),
             "checks": [dict(check) for check in self.checks],
             "assumed_lemmas": list(self.assumed_lemmas),
-            "conventions": dict(self.conventions),
+            "conventions": self.conventions,
         }
 
 
@@ -292,8 +301,6 @@ def localize(p: Params, n: int, options: LocalizeOptions | None = None) -> Certi
         raise ValueError("need oracle_bound >= 0")
     deform = deform_rational if p.mode.is_rational else deform_formal
     p2, plan = deform(p, n, options.index_mode, options.retry_bound)
-    theta = theta_of_p(p2)
-
     checks = list(required_checks(p, p2, n, options.index_mode))
     if n <= options.oracle_bound:
         same = relation_p(OrderInstance(p, n)) == relation_p(OrderInstance(p2, n))
@@ -312,15 +319,4 @@ def localize(p: Params, n: int, options: LocalizeOptions | None = None) -> Certi
             {"failed_checks": failed, "plan": plan.to_json()},
         )
 
-    return Certificate(
-        p=p,
-        p_prime=p2,
-        theta=theta,
-        plan=plan,
-        checks=tuple(checks),
-        conventions={
-            "h_normalization": "sum-zero",
-            "p_prime_first_slot": "kappa-prime",
-            "genericity_index_mode": options.index_mode.value,
-        },
-    )
+    return Certificate(p, p2, plan, tuple(checks), options.index_mode)

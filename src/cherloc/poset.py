@@ -45,11 +45,21 @@ class Relation:
         texts = [*map(_label_text, self.labels)]
         return bool(self.rows[texts.index(_label_text(a))] >> texts.index(_label_text(b)) & 1)
 
+    def dumps(self) -> str:
+        """The canonical JSON text of labels and matrix, one reversed bit string per row."""
+        k = self.size
+        head = (json.dumps({"labels": self.labels}, indent=2, sort_keys=True)[:-2]
+                + ',\n  "matrix": [')
+        if not k:
+            return head + "]\n}\n"
+        rows = ["    [\n      " + ",\n      ".join(format(row, f"0{k}b")[::-1]) + "\n    ]"
+                for row in self.rows]
+        rows[0] = head + "\n" + rows[0]
+        rows[-1] += "\n  ]\n}\n"
+        return ",\n".join(rows)
+
     def to_json(self) -> dict:
-        return {
-            "labels": [label_json(label) for label in self.labels],
-            "matrix": [list(_entries(row, self.size)) for row in self.rows],
-        }
+        return json.loads(self.dumps())
 
     @classmethod
     def from_json(cls, data: dict) -> Relation:
@@ -89,12 +99,6 @@ def _entries(row: int, k: int) -> bytes:
 
 def _label_text(label) -> str:
     return json.dumps(label, default=repr)
-
-
-def label_json(label):
-    if isinstance(label, tuple):
-        return [label_json(part) for part in label]
-    return label
 
 
 def _label_from_json(label):

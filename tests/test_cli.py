@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cherloc import LocalizeOptions, Params, ParamScalar, Relation
 from cherloc.cli import JobSpec, _build_parser, _job_from_args, canonical_dumps, main
+from test_poset import to_json_per_entry
 
 P2_OF_2 = [
     [[2], []],
@@ -305,10 +306,25 @@ MISSING_FIELD = {
 }
 
 
-def assert_names_a_missing_field(case, err):
+# Jobs with a key their command does not take -> the first such key: a
+# misspelt option, options of other commands, a misspelt top-level key.
+FOREIGN_KEY = {
+    "retry_bund": {"command": "localize", "n": 2, "options": {"retry_bund": 3},
+                   "params": {"ell": 2, "kappa": "formal", "h": [{"a": "-1/4"}, {"a": "1/4"}]}},
+    "max_n": {"command": "theta", "options": {"max_n": 3, "dot": "x.dot", "retry_bound": -5},
+              "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}]}},
+    "nn": {"command": "order", "ell": 1, "n": 2, "nn": 9, "option": {"out": "o.json"},
+           "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}]}},
+}
+
+
+def assert_names_the_key(case, err):
     for key, missing in MISSING_FIELD.items():
         if missing is case:
             assert err == f"cherloc: missing field {key!r}\n"
+    for key, foreign in FOREIGN_KEY.items():
+        if foreign is case:
+            assert err == f"cherloc: {case['command']} takes no job field {key!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -343,6 +359,7 @@ def assert_names_a_missing_field(case, err):
         # -Infinity is not JSON
         {"command": "localize", "n": 2, "options": {"oracle_bound": float("-inf")},
          "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}]}},
+        *FOREIGN_KEY.values(),
         # nesting deeper than json.load recurses, written out as text
         pytest.param('{"command": "theta", "params": ' + "[" * 100000 + "]" * 100000 + "}",
                      id="params-nested-100000-deep"),
@@ -355,7 +372,7 @@ def test_malformed_job_file_exits_2_with_one_line(capsys, tmp_path, job):
     assert code == 2
     assert out == ""
     assert err.startswith("cherloc: ") and err.count("\n") == 1
-    assert_names_a_missing_field(job, err)
+    assert_names_the_key(job, err)
 
 
 @pytest.mark.parametrize(
@@ -467,7 +484,7 @@ def test_malformed_relation_file_exits_2_with_one_line(capsys, tmp_path, relatio
     assert code == 2
     assert out == ""
     assert err.startswith("cherloc: ") and err.count("\n") == 1
-    assert_names_a_missing_field(relation, err)
+    assert_names_the_key(relation, err)
 
 
 @pytest.mark.parametrize("other", [[True, 2], [1.0, 2]])
@@ -522,7 +539,9 @@ def test_relation_writer_equals_the_generic_encoder(data):
     labels = data.draw(st.lists(RELATION_LABELS, min_size=size, max_size=size, unique=True))
     rows = data.draw(st.lists(st.integers(0, 2**size - 1), min_size=size, max_size=size))
     rel = Relation(tuple(labels), rows)
-    assert canonical_dumps(rel) == json.dumps(rel.to_json(), indent=2, sort_keys=True) + "\n"
+    reference = to_json_per_entry(rel.labels, rel.matrix)
+    assert canonical_dumps(rel) == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+    assert rel.to_json() == reference
 
 
 # Fuzz of main.  Each input is well formed (ell <= 3, n <= 4) except for at
@@ -589,22 +608,35 @@ def command_lines(draw):
 
 @st.composite
 def job_files(draw):
+    """A job holding only its command's keys, well formed except for at most
+    one breakage: a key dropped, a value replaced by junk, or one key added
+    that the command does not take."""
     command = draw(st.sampled_from(COMMANDS))
     fields = draw(well_formed_fields(command))
     mode = fields.get("kappa", "1/2")
-    job = {"command": command, "ell": fields["ell"], "n": fields.get("n")}
+    job = {"command": command, "ell": fields["ell"]}
+    if "n" in fields:
+        job["n"] = fields["n"]
     scalars = [{"a": str(draw(st.fractions(-1, 1, max_denominator=4)))}
                for _ in range(fields["ell"])]
     if "h" in fields:
         job["params"] = {"ell": fields["ell"], "kappa": mode, "h": scalars}
     if "theta" in fields:
         job["theta"] = {"kappa": mode, "theta": scalars}
-    options = {"index_mode": fields.get("index-mode", "literal"),
-               "retry_bound": fields.get("retry-bound", 2), "oracle_bound": 2}
+    options = {"index_mode": fields["index-mode"]} if "index-mode" in fields else {}
+    if command == "localize":
+        options.update(retry_bound=fields["retry-bound"], oracle_bound=2)
     job["options"] = options
-    target = draw(st.sampled_from([None, "job", "params", "theta", "options"]))
+    target = draw(st.sampled_from([None, "job", "params", "theta", "options", "foreign"]))
+    if target == "foreign":
+        foreign = [(job, "nn"), (job, "inputs"), (options, "retry_bund"), (options, "ell")]
+        foreign += [(job, "n")] * (command == "theta") + [(options, "dot")] * (command != "order")
+        foreign += [(job, "params")] * ("h" not in fields)
+        where, key = draw(st.sampled_from(foreign))
+        where[key] = draw(JUNK)
+        return job
     where = {"job": job, "options": options}.get(target, job.get(target))
-    if isinstance(where, dict):
+    if isinstance(where, dict) and where:
         key = draw(st.sampled_from(sorted(where)))
         if draw(st.booleans()):
             del where[key]

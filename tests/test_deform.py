@@ -24,6 +24,7 @@ from cherloc import (
     index_classes,
     localize,
     relevant_boxes,
+    theta_of_p,
     verify_preservation,
 )
 from cherloc import deform
@@ -437,6 +438,19 @@ def test_certificate_rejects_failed_checks():
     bad = ({"name": "integral_difference", "passed": False, "detail": {}},)
     with pytest.raises(ValueError):
         dataclasses.replace(cert, checks=bad)
+
+
+@pytest.mark.parametrize("mode", list(IndexMode))
+@pytest.mark.parametrize("kappa", [HALF, FORMAL])
+def test_certificate_reads_theta_and_conventions_off_what_it_verified(mode, kappa):
+    cert = localize(Params.build(kappa, [Fraction(1, 4), Fraction(-1, 4)]), 2,
+                    LocalizeOptions(index_mode=mode))
+    assert cert.index_mode is mode
+    assert cert.theta == theta_of_p(cert.p_prime)
+    assert cert.conventions["genericity_index_mode"] == mode.value
+    assert cert.to_json()["theta"] == theta_of_p(cert.p_prime).to_json()
+    with pytest.raises(TypeError):
+        Certificate(cert.p, cert.p_prime, cert.plan, cert.checks, theta=cert.theta)
 
 
 def test_certificate_requires_two_lemmas():

@@ -18,7 +18,6 @@ from cherloc import (
     to_dot,
     transitive_closure,
 )
-from cherloc.poset import label_json
 
 
 def rel(labels, pairs, reflexive=True):
@@ -266,8 +265,14 @@ def test_long_chain_and_cycle_need_no_recursion():
     assert common_refinement(chain, back).cycle == (k - 3, k - 2, k - 1)
 
 
+def label_json(label):
+    if isinstance(label, tuple):
+        return [label_json(part) for part in label]
+    return label
+
+
 def to_json_per_entry(labels, matrix):
-    """The writer of the per-entry matrix that Relation.to_json replaced."""
+    """The per-entry encoder that Relation.dumps replaced: the reference for to_json."""
     return {
         "labels": [label_json(label) for label in labels],
         "matrix": [[1 if v else 0 for v in row] for row in matrix],
