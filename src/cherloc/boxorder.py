@@ -7,7 +7,6 @@ comparable only when their contents differ by an integer plus
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -15,7 +14,6 @@ from .combinatorics import Box, relevant_boxes
 from .scalars import KappaMode, ParamScalar, RationalLike
 
 
-@dataclass(frozen=True)
 class Params:
     """A kappa mode together with the component offsets h_0, ..., h_{ell-1}.
 
@@ -23,18 +21,22 @@ class Params:
     constructor normalizes to the representative with sum(h) = 0.
     """
 
-    mode: KappaMode
-    h: tuple[ParamScalar, ...]
-
-    def __post_init__(self) -> None:
-        if not self.h:
+    def __init__(self, mode: KappaMode, h: tuple[ParamScalar, ...]) -> None:
+        if not h:
             raise ValueError("need at least one component offset")
-        h = tuple(self.h)
+        h = tuple(h)
         for entry in h:
-            if not isinstance(entry, ParamScalar) or entry.mode != self.mode:
+            if not isinstance(entry, ParamScalar) or entry.mode != mode:
                 raise ValueError("offsets must be scalars in the declared kappa mode")
-        shift = sum(h, self.mode.zero()) / len(h)
-        object.__setattr__(self, "h", tuple(entry - shift for entry in h))
+        shift = sum(h, mode.zero()) / len(h)
+        self.mode = mode
+        self.h = tuple(entry - shift for entry in h)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and (self.mode, self.h) == (other.mode, other.h)
+
+    def __hash__(self) -> int:
+        return hash((self.mode, self.h))
 
     @classmethod
     def build(

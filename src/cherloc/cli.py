@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .boxorder import Params
 from .combinatorics import enumerate_multipartitions
@@ -40,22 +39,29 @@ def canonical_dumps(payload: dict | Relation) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass
 class JobSpec:
     """One resolved invocation: a command plus its inputs and options."""
 
-    command: str
-    ell: int | None = None
-    n: int | None = None
-    params: Params | None = None
-    theta: Stability | None = None
-    inputs: tuple[str, ...] = ()
-    index_mode: IndexMode = IndexMode.LITERAL
-    oracle_bound: int = LocalizeOptions.oracle_bound
-    retry_bound: int = LocalizeOptions.retry_bound
-    out: str | None = None
-    dot: str | None = None
-    max_n: int | None = None
+    def __init__(
+        self,
+        command: str,
+        ell: int | None = None,
+        n: int | None = None,
+        params: Params | None = None,
+        theta: Stability | None = None,
+        inputs: tuple[str, ...] = (),
+        index_mode: IndexMode = IndexMode.LITERAL,
+        oracle_bound: int = LocalizeOptions.oracle_bound,
+        retry_bound: int = LocalizeOptions.retry_bound,
+        out: str | None = None,
+        dot: str | None = None,
+        max_n: int | None = None,
+    ) -> None:
+        self.command, self.ell, self.n = command, ell, n
+        self.params, self.theta, self.inputs = params, theta, inputs
+        self.index_mode = index_mode
+        self.oracle_bound, self.retry_bound = oracle_bound, retry_bound
+        self.out, self.dot, self.max_n = out, dot, max_n
 
     @classmethod
     def from_json(cls, data: dict) -> JobSpec:
@@ -216,15 +222,14 @@ _TOP_LEVEL = {"--ell": "ell", "--n": "n", "--kappa": None, "--h": "params",
               "--theta": "theta", "inputs": "inputs"}
 
 
-@dataclass(frozen=True)
 class Command:
     """A subcommand: help, handler returning (artifact, exit code), required
     JobSpec fields, and arguments in the order argparse reports them missing."""
 
-    help: str
-    handler: Callable[[JobSpec], tuple[dict | Relation, int]]
-    required: tuple[str, ...]
-    arguments: str
+    def __init__(self, help: str, handler: Callable[[JobSpec], tuple[dict | Relation, int]],
+                 required: tuple[str, ...], arguments: str) -> None:
+        self.help, self.handler = help, handler
+        self.required, self.arguments = required, arguments
 
 
 COMMANDS = {
@@ -267,7 +272,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"cherloc: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv: every subcommand, but only the one that argv
+    names (its first token that is not an option) gets its arguments."""
+    chosen = next((token for token in argv if not token.startswith("-")), None)
     parser = _Parser(
         prog="cherloc",
         description="Exact multipartition box orders, aspherical loci, and "
@@ -276,10 +284,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
-        for argument in command.arguments.split():
+        for argument in command.arguments.split() if name == chosen else ():
             sp.add_argument(argument, **_ARGUMENTS[argument])
     sp = sub.add_parser("job", help="run a JobSpec JSON file")
-    sp.add_argument("jobfile")
+    if chosen == "job":
+        sp.add_argument("jobfile")
     return parser
 
 
@@ -309,7 +318,8 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         if args.command == "job":
             job = JobSpec.from_json(_read_json(args.jobfile))

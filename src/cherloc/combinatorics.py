@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -16,18 +15,25 @@ class Box(NamedTuple):
     i: int
 
 
-@dataclass(frozen=True)
 class Multipartition:
-    parts: tuple[tuple[int, ...], ...]
+    """A tuple of partitions, each a weakly decreasing tuple of positive int rows."""
 
-    def __post_init__(self) -> None:
-        parts = tuple(tuple(int(r) for r in component) for component in self.parts)
+    def __init__(self, parts: tuple[tuple[int, ...], ...]) -> None:
+        parts = tuple(tuple(component) for component in parts)
         for component in parts:
+            if any(type(r) is not int for r in component):
+                raise ValueError("partition rows must be integers")
             if any(r <= 0 for r in component):
                 raise ValueError("partition rows must be positive")
             if any(component[k] < component[k + 1] for k in range(len(component) - 1)):
                 raise ValueError("partition rows must be weakly decreasing")
-        object.__setattr__(self, "parts", parts)
+        self.parts = parts
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def ell(self) -> int:

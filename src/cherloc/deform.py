@@ -12,7 +12,6 @@ an exhausted schedule raises with diagnostics of the last failure.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import count, islice
 from math import lcm
 
@@ -43,7 +42,6 @@ class DeformationError(Exception):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
 class DeformPlan:
     """The data of one deformation candidate.
 
@@ -52,12 +50,13 @@ class DeformPlan:
     is recorded in the JSON form as a kappa_shift of 0 (None otherwise).
     """
 
-    m: tuple[int, ...]
-    M: int | None = None
-
-    def __post_init__(self) -> None:
-        if any(a >= b for a, b in zip(self.m, self.m[1:])):
+    def __init__(self, m: tuple[int, ...], M: int | None = None) -> None:
+        if any(a >= b for a, b in zip(m, m[1:])):
             raise ValueError("m must be strictly increasing")
+        self.m, self.M = m, M
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and (self.m, self.M) == (other.m, other.M)
 
     def to_json(self) -> dict:
         kappa_shift = 0 if self.M is None else None
@@ -162,11 +161,20 @@ def _search(
     )
 
 
-@dataclass(frozen=True)
 class LocalizeOptions:
-    index_mode: IndexMode = IndexMode.LITERAL
-    oracle_bound: int = 6
-    retry_bound: int = 64
+    oracle_bound = 6
+    retry_bound = 64
+
+    def __init__(self, index_mode: IndexMode = IndexMode.LITERAL,
+                 oracle_bound: int = oracle_bound, retry_bound: int = retry_bound) -> None:
+        self.index_mode = index_mode
+        self.oracle_bound = oracle_bound
+        self.retry_bound = retry_bound
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and (
+            self.index_mode, self.oracle_bound, self.retry_bound
+        ) == (other.index_mode, other.oracle_bound, other.retry_bound)
 
 
 def _rational_schedule(retry_bound: int):
@@ -246,7 +254,6 @@ def deform_formal(
     return _search(p, n, index_mode, candidates, diagnostics)
 
 
-@dataclass(frozen=True)
 class Certificate:
     """Verified record of one deformation run.
 
@@ -256,16 +263,14 @@ class Certificate:
     conventions are read off p_prime and index_mode.
     """
 
-    p: Params
-    p_prime: Params
-    plan: DeformPlan
-    checks: tuple[dict, ...]
-    index_mode: IndexMode = IndexMode.LITERAL
     assumed_lemmas = ASSUMED_LEMMAS
 
-    def __post_init__(self) -> None:
-        if any(check["passed"] is False for check in self.checks):
+    def __init__(self, p: Params, p_prime: Params, plan: DeformPlan, checks: tuple[dict, ...],
+                 index_mode: IndexMode = IndexMode.LITERAL) -> None:
+        if any(check["passed"] is False for check in checks):
             raise ValueError("certificates cannot carry failed checks")
+        self.p, self.p_prime, self.plan, self.checks = p, p_prime, plan, checks
+        self.index_mode = index_mode
 
     @property
     def theta(self) -> Stability:

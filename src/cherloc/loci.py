@@ -7,7 +7,6 @@ comparing rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations, product
@@ -16,19 +15,22 @@ from .boxorder import Params
 from .scalars import KappaMode, ParamScalar
 
 
-@dataclass(frozen=True)
 class Stability:
     """A stability vector theta_0, ..., theta_{ell-1} of exact scalars."""
 
-    theta: tuple[ParamScalar, ...]
-
-    def __post_init__(self) -> None:
-        theta = tuple(self.theta)
+    def __init__(self, theta: tuple[ParamScalar, ...]) -> None:
+        theta = tuple(theta)
         if not theta:
             raise ValueError("stability vector must be nonempty")
         if any(entry.mode != theta[0].mode for entry in theta):
             raise ValueError("stability entries must share one kappa mode")
-        object.__setattr__(self, "theta", theta)
+        self.theta = theta
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.theta == other.theta
+
+    def __hash__(self) -> int:
+        return hash((self.theta,))
 
     @property
     def ell(self) -> int:
@@ -89,25 +91,28 @@ def genericity_witness(
     return None
 
 
-@dataclass(frozen=True)
 class KappaFraction:
     """Aspherical hyperplane kappa = r/s with 0 < r <= s <= n, s > 1."""
 
-    r: int
-    s: int
+    def __init__(self, r: int, s: int) -> None:
+        self.r, self.s = r, s
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and (self.r, self.s) == (other.r, other.s)
 
     def to_json(self) -> dict:
         return {"family": "kappa-fraction", "r": self.r, "s": self.s}
 
 
-@dataclass(frozen=True)
 class ContentHyperplane:
     """Aspherical hyperplane N/ell = h_j - h_i + m*kappa with j = i - N mod ell."""
 
-    i: int
-    m: int
-    N: int
-    j: int
+    def __init__(self, i: int, m: int, N: int, j: int) -> None:
+        self.i, self.m, self.N, self.j = i, m, N, j
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self)
+                and (self.i, self.m, self.N, self.j) == (other.i, other.m, other.N, other.j))
 
     def to_json(self) -> dict:
         return {

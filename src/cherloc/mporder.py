@@ -14,37 +14,29 @@ of lambda is below the k-th smallest content of mu, for every k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .boxorder import Params, content_table
 from .combinatorics import Multipartition, boxes, enumerate_multipartitions
 from .poset import Relation
 
 
-@dataclass
 class OrderInstance:
     """The order on all ell-multipartitions of n for fixed parameters."""
 
-    p: Params
-    n: int
-    labels: tuple[Multipartition, ...] = field(init=False)
-    # box id -> class id * span + content - lowest content: sorting these
-    # groups boxes by class, and by content inside a class.
-    _keys: list[int] = field(init=False, repr=False)
-    # label -> (its box ids, the sorted class ids of its boxes)
-    _compiled: dict[Multipartition, tuple[frozenset[int], tuple]] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, p: Params, n: int) -> None:
+        if n < 0:
             raise ValueError("need n >= 0")
-        self.labels = tuple(enumerate_multipartitions(self.p.ell, self.n))
-        entries = content_table(self.p, self.n)
+        self.p, self.n = p, n
+        self.labels = tuple(enumerate_multipartitions(p.ell, n))
+        entries = content_table(p, n)
         box_ids = {box: k for k, box in enumerate(entries)}
         contents = [content for _, content in entries.values()]
         low = min(contents, default=0)
         span = max(contents, default=0) - low + 1
+        # box id -> class id * span + content - lowest content: sorting these
+        # groups boxes by class, and by content inside a class.
         self._keys = [cid * span + content - low for cid, content in entries.values()]
-        self._compiled = {}
+        # label -> (its box ids, the sorted class ids of its boxes)
+        self._compiled: dict[Multipartition, tuple[frozenset[int], tuple]] = {}
         for mp in self.labels:
             ids = [box_ids[box] for box in boxes(mp)]
             self._compiled[mp] = frozenset(ids), tuple(sorted(self._keys[k] // span for k in ids))

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Hashable
 
 
-@dataclass(frozen=True)
 class Relation:
     """A relation over an ordered tuple of opaque labels, held as bit rows.
 
@@ -16,11 +14,8 @@ class Relation:
     Labels are told apart by their JSON texts: 1, 1.0 and true are three.
     """
 
-    labels: tuple[Hashable, ...]
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        labels, rows = tuple(self.labels), tuple(self.rows)
+    def __init__(self, labels: tuple[Hashable, ...], rows: tuple[int, ...]) -> None:
+        labels, rows = tuple(labels), tuple(rows)
         k = len(labels)
         if len(rows) != k or any(
             not 0 <= row < 1 << k if isinstance(row, int) else len(row) != k for row in rows
@@ -29,9 +24,16 @@ class Relation:
         # A set merges 1, 1.0 and true; only its collisions need the JSON texts.
         if len(set(labels)) != k and len(set(map(_label_text, labels))) != k:
             raise ValueError("labels must be unique")
-        rows = tuple(row if isinstance(row, int) else _packed([*map(bool, row)]) for row in rows)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "rows", rows)
+        self.labels = labels
+        self.rows = tuple(row if isinstance(row, int) else _packed([*map(bool, row)])
+                          for row in rows)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self)
+                and (self.labels, self.rows) == (other.labels, other.rows))
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.rows))
 
     @property
     def size(self) -> int:
@@ -109,18 +111,25 @@ def _label_from_json(label):
     return label
 
 
-@dataclass(frozen=True)
 class OrderViolation:
     """Witness that a relation is not a partial order."""
 
-    kind: str  # "reflexivity" | "antisymmetry" | "transitivity"
-    labels: tuple
+    def __init__(self, kind: str, labels: tuple) -> None:
+        self.kind = kind  # "reflexivity" | "antisymmetry" | "transitivity"
+        self.labels = labels
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self)
+                and (self.kind, self.labels) == (other.kind, other.labels))
 
 
-@dataclass(frozen=True)
 class RefinementResult:
-    order: Relation | None
-    cycle: tuple | None
+    def __init__(self, order: Relation | None, cycle: tuple | None) -> None:
+        self.order, self.cycle = order, cycle
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self)
+                and (self.order, self.cycle) == (other.order, other.cycle))
 
 
 def _bits(row: int):

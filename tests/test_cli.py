@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -222,9 +224,8 @@ def test_jobspec_from_json_defaults():
 
 
 def test_localize_jobs_carry_the_localize_defaults():
-    from_flags = _job_from_args(
-        _build_parser().parse_args(["localize", "--ell", "1", "--n", "2", "--kappa", "1/2"])
-    )
+    argv = ["localize", "--ell", "1", "--n", "2", "--kappa", "1/2"]
+    from_flags = _job_from_args(_build_parser(argv).parse_args(argv))
     from_file = JobSpec.from_json({
         "command": "localize",
         "ell": 1,
@@ -407,7 +408,7 @@ GUARD_ELL = "cherloc: ell > 4 refused by the size guard\n"
     ],
 )
 def test_size_guard_runs_before_any_scalar_is_parsed(capsys, tmp_path, monkeypatch, argv):
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError("a scalar was built before the size guard ran")
 
     monkeypatch.chdir(tmp_path)
@@ -415,9 +416,37 @@ def test_size_guard_runs_before_any_scalar_is_parsed(capsys, tmp_path, monkeypat
         "command": "order", "n": 1,
         "params": {"ell": 100000, "kappa": "1/2", "h": [{"a": "0/1"}] * 100000},
     }))
-    monkeypatch.setattr(Params, "__post_init__", refuse)
+    monkeypatch.setattr(Params, "__init__", refuse)
     monkeypatch.setattr(ParamScalar, "__post_init__", refuse)
     assert run_cli(capsys, *argv) == (2, "", GUARD_ELL)
+
+
+# SHA-256 of the stdout of `cherloc --help` ("") and `cherloc <command> --help`
+# at 80 columns, recorded from the parser that gave every subcommand all of
+# its arguments.  Python 3.13 wraps the top-level usage line differently.
+HELP_SHA256 = {
+    "": "bd33dc9a1eb09f19353e7046f711be73f4c1f06836779f8d077922c881bc4c3c"
+    if sys.version_info >= (3, 13)
+    else "b38e6a84b93597437e56e78d5bfe5d0dcabc6cccd7d40045e5c4954099064c01",
+    "enumerate": "ed08aa25a7ebd0e90c272c09d2b26cd5574b1fc6d6a8ef4a0c94111e717560ec",
+    "order": "e8a105a490e2f5a794a7fb043515c0a7ff7f4a74cd955fd9da6e02f4bdf1e6d7",
+    "spherical": "9d3f6aee6e4cd43bbc1d5ea51790ec7e490f1f3c25939f47bf408d65734ecd3d",
+    "generic": "4f48f7596f7e3861565374dca17f9abb41123801f9dca24dc9f970cd889d8771",
+    "theta": "f23c69d380867ea698bfe345b7063676cb06259afb8d39a0b94ebc0f25165e55",
+    "localize": "c0da5c55cc90f76c033b7eb605007c9b9d8d5f14ff01ee6812f5ca0447c4adc7",
+    "common-refinement": "a4e6429d1a8b262cd021d586e59c12cc144aa77753b520072d8f1bc9b0033bae",
+    "job": "37f214b3f90eb34ea4e602d764c7ea7b3003eab0e1ccc7f3b471b2643a8d1308",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SHA256)
+def test_help_texts_are_pinned(capsys, monkeypatch, command):
+    # The parser adds arguments only to the subcommand that argv names, so
+    # each help text must still come out byte for byte as before.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *filter(None, [command, "--help"]))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
 
 
 def test_job_rejects_unknown_command(capsys, tmp_path):

@@ -60,6 +60,14 @@ def test_multipartition_validation():
         Multipartition(((0,),))
 
 
+@pytest.mark.parametrize("row", [1.5, 2.0, True, "2", None])
+def test_multipartition_refuses_rows_that_are_not_ints(row):
+    with pytest.raises(ValueError, match="rows must be integers"):
+        Multipartition.from_json([[row]])
+    with pytest.raises(ValueError, match="rows must be integers"):
+        Multipartition(((3, row),))
+
+
 def test_multipartition_json_round_trip():
     mp = Multipartition(((2, 1), (), (3,)))
     assert Multipartition.from_json(mp.to_json()) == mp

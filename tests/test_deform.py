@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 from itertools import islice
@@ -437,7 +436,7 @@ def test_certificate_rejects_failed_checks():
     cert = localize(Params.build(HALF, [0]), 1)
     bad = ({"name": "integral_difference", "passed": False, "detail": {}},)
     with pytest.raises(ValueError):
-        dataclasses.replace(cert, checks=bad)
+        Certificate(cert.p, cert.p_prime, cert.plan, bad, cert.index_mode)
 
 
 @pytest.mark.parametrize("mode", list(IndexMode))

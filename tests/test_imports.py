@@ -63,12 +63,40 @@ def test_all_lists_exactly_the_package_imports():
     assert set(cherloc.__all__) == set(imported_names(tree))
 
 
-def test_the_cli_loads_only_the_standard_library():
-    # -S skips site-packages, so a third-party import fails here even
-    # when it is installed.
+def cli_imports():
+    """The modules loaded by a bare `import cherloc.cli`.
+
+    -S skips site-packages, so a third-party import fails here even when it
+    is installed, and nothing a .pth file imports is counted.
+    """
     probe = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import cherloc.cli; "
              "print('\\n'.join(sys.modules))")
-    loaded = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
-                            text=True, check=True, timeout=60).stdout.split()
-    roots = {name.split(".")[0] for name in loaded}
+    return subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=60).stdout.split()
+
+
+def test_the_cli_loads_only_the_standard_library():
+    roots = {name.split(".")[0] for name in cli_imports()}
     assert roots - set(sys.stdlib_module_names) == {"cherloc", "__main__"}
+
+
+def test_the_cli_starts_without_dataclasses_or_its_imports():
+    # dataclasses pulls in inspect, and inspect ast, dis and tokenize: about
+    # 10 ms of every job's start-up, before any class is decorated.
+    slow = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert slow & set(cli_imports()) == set()
+
+
+def imported_modules(tree):
+    """The modules that a module's import statements name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module
+
+
+def test_no_module_imports_dataclasses():
+    importers = [path.name for path in MODULES
+                 if "dataclasses" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importers == []

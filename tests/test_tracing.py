@@ -3,8 +3,9 @@
 perfbench/tracer.py looks each traced function up by name and rewraps the
 Relation.from_json classmethod; a rename in cherloc would otherwise break
 only the benchmark's traced pass.  A traced `order` run must count its one
-artifact dump and its one relation_p call.  The tracer is installed in a fresh
-interpreter, so the wrapping never reaches this test session.
+artifact dump, its one relation_p call and the scalars it builds.  The tracer
+is installed in a fresh interpreter, so the wrapping never reaches this test
+session.
 """
 
 import os
@@ -25,6 +26,8 @@ assert cherloc.cli.main(["order", "--ell", "1", "--n", "2", "--kappa", "1/2"]) =
 # cli.run looks canonical_dumps up when it writes, so the wrapper sees the dump.
 assert tracer.counters["cli.canonical_dumps.calls"] == 1, tracer.counters
 assert tracer.counters["mporder.relation_p.calls"] == 1, tracer.counters
+# ParamScalar.__init__ calls the wrapped __post_init__ hook for every scalar.
+assert tracer.counters["scalars.param_scalars"] > 0, tracer.counters
 """
 
 
