@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable
+from collections import namedtuple
 
 from .boxorder import Params
 from .combinatorics import enumerate_multipartitions
-from .deform import DeformationError, LocalizeOptions, localize
+from .deform import ORACLE_BOUND, RETRY_BOUND, DeformationError, localize
 from .loci import (
     IndexMode,
     Stability,
@@ -51,8 +51,8 @@ class JobSpec:
         theta: Stability | None = None,
         inputs: tuple[str, ...] = (),
         index_mode: IndexMode = IndexMode.LITERAL,
-        oracle_bound: int = LocalizeOptions.oracle_bound,
-        retry_bound: int = LocalizeOptions.retry_bound,
+        oracle_bound: int = ORACLE_BOUND,
+        retry_bound: int = RETRY_BOUND,
         out: str | None = None,
         dot: str | None = None,
         max_n: int | None = None,
@@ -89,8 +89,8 @@ class JobSpec:
             theta=theta,
             inputs=tuple(inputs),
             index_mode=IndexMode(options.get("index_mode", "literal")),
-            oracle_bound=_field(options, "oracle_bound", int, LocalizeOptions.oracle_bound),
-            retry_bound=_field(options, "retry_bound", int, LocalizeOptions.retry_bound),
+            oracle_bound=_field(options, "oracle_bound", int, ORACLE_BOUND),
+            retry_bound=_field(options, "retry_bound", int, RETRY_BOUND),
             out=_field(options, "out", str),
             dot=_field(options, "dot", str),
             max_n=_field(options, "max_n", int),
@@ -184,9 +184,10 @@ def _run_theta(job: JobSpec) -> tuple[dict, int]:
 
 
 def _run_localize(job: JobSpec) -> tuple[dict, int]:
-    options = LocalizeOptions(job.index_mode, job.oracle_bound, job.retry_bound)
     try:
-        return localize(job.params, job.n, options).to_json(), 0
+        cert = localize(job.params, job.n, index_mode=job.index_mode,
+                        oracle_bound=job.oracle_bound, retry_bound=job.retry_bound)
+        return cert.to_json(), 0
     except DeformationError as err:
         return {"failed": "deformation", **err.diagnostics}, 1
 
@@ -212,8 +213,8 @@ _ARGUMENTS = {
     "--out": {"help": "write the JSON artifact here instead of stdout"},
     "--max-n": {"type": int, "help": "raise the size guard"},
     "--dot": {"help": "also write the Hasse diagram as DOT"},
-    "--oracle-bound": {"type": int, "default": LocalizeOptions.oracle_bound},
-    "--retry-bound": {"type": int, "default": LocalizeOptions.retry_bound},
+    "--oracle-bound": {"type": int, "default": ORACLE_BOUND},
+    "--retry-bound": {"type": int, "default": RETRY_BOUND},
     "inputs": {"nargs": 2, "metavar": "RELATION_JSON"},
 }
 
@@ -222,14 +223,9 @@ _TOP_LEVEL = {"--ell": "ell", "--n": "n", "--kappa": None, "--h": "params",
               "--theta": "theta", "inputs": "inputs"}
 
 
-class Command:
-    """A subcommand: help, handler returning (artifact, exit code), required
-    JobSpec fields, and arguments in the order argparse reports them missing."""
-
-    def __init__(self, help: str, handler: Callable[[JobSpec], tuple[dict | Relation, int]],
-                 required: tuple[str, ...], arguments: str) -> None:
-        self.help, self.handler = help, handler
-        self.required, self.arguments = required, arguments
+# A subcommand: help, handler returning (artifact, exit code), required
+# JobSpec fields, and arguments in the order argparse reports them missing.
+Command = namedtuple("Command", "help handler required arguments")
 
 
 COMMANDS = {

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
 
-
-class Box(NamedTuple):
-    """A box of a multipartition: row x, column y (both 1-based), component i."""
-
-    x: int
-    y: int
-    i: int
+# A box of a multipartition: row x, column y (both 1-based), component i.
+Box = namedtuple("Box", "x y i")
 
 
 class Multipartition:

@@ -33,6 +33,10 @@ ASSUMED_LEMMAS = (
     "the geometric order attached to the emitted stability vector",
 )
 
+# The defaults of localize's options, of --oracle-bound and of --retry-bound.
+ORACLE_BOUND = 6
+RETRY_BOUND = 64
+
 
 class DeformationError(Exception):
     """Raised when no candidate in the schedule passes verification."""
@@ -40,27 +44,6 @@ class DeformationError(Exception):
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
         self.diagnostics = diagnostics
-
-
-class DeformPlan:
-    """The data of one deformation candidate.
-
-    M is the kappa multiplier, None when kappa stays fixed (formal mode);
-    m is strictly increasing and subtracted componentwise.  A fixed kappa
-    is recorded in the JSON form as a kappa_shift of 0 (None otherwise).
-    """
-
-    def __init__(self, m: tuple[int, ...], M: int | None = None) -> None:
-        if any(a >= b for a, b in zip(m, m[1:])):
-            raise ValueError("m must be strictly increasing")
-        self.m, self.M = m, M
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and (self.m, self.M) == (other.m, other.M)
-
-    def to_json(self) -> dict:
-        kappa_shift = 0 if self.M is None else None
-        return {"M": self.M, "m": list(self.m), "kappa_shift": kappa_shift}
 
 
 def index_classes(p: Params) -> list[list[int]]:
@@ -140,7 +123,7 @@ def required_checks(p: Params, p2: Params, n: int, index_mode: IndexMode) -> Ite
 
 def _search(
     p: Params, n: int, index_mode: IndexMode, candidates, diagnostics: dict
-) -> tuple[Params, DeformPlan]:
+) -> tuple[Params, dict]:
     """The first (p2, plan) of candidates that passes every required check.
 
     Raises DeformationError with diagnostics, the number of candidates
@@ -154,27 +137,11 @@ def _search(
         failed = next((check for check in checks if not check["passed"]), None)
         if failed is None:
             return p2, plan
-        last = {"plan": plan.to_json(), "failure": {"check": failed["name"], **failed["detail"]}}
+        last = {"plan": plan, "failure": {"check": failed["name"], **failed["detail"]}}
     raise DeformationError(
         "no deformation candidate passed verification",
         {**diagnostics, "candidates_tried": attempts, "last": last},
     )
-
-
-class LocalizeOptions:
-    oracle_bound = 6
-    retry_bound = 64
-
-    def __init__(self, index_mode: IndexMode = IndexMode.LITERAL,
-                 oracle_bound: int = oracle_bound, retry_bound: int = retry_bound) -> None:
-        self.index_mode = index_mode
-        self.oracle_bound = oracle_bound
-        self.retry_bound = retry_bound
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and (
-            self.index_mode, self.oracle_bound, self.retry_bound
-        ) == (other.index_mode, other.oracle_bound, other.retry_bound)
 
 
 def _rational_schedule(retry_bound: int):
@@ -193,12 +160,13 @@ def _gap_vector(ell: int, gap: int) -> list[int]:
     return [gap * i + i * (i - 1) // 2 for i in range(ell)]
 
 
-def _candidate(p: Params, M: int, gap: int) -> tuple[Params, DeformPlan]:
-    """The candidate kappa' = M*kappa, h' = h + (M-1)*kappa*s - m.
+def _candidate(p: Params, M: int, gap: int) -> tuple[Params, dict]:
+    """The candidate kappa' = M*kappa, h' = h + (M-1)*kappa*s - m, and its plan.
 
     kappa*s is p.kappa_s, and m is the gap vector of gap.  The last m
     entry absorbs a remainder so that the sum-zero renormalization shift
-    is itself an integer.  M = 1 keeps kappa, and so its mode, fixed.
+    is itself an integer.  M = 1 keeps kappa, and so its mode, fixed; the
+    plan then records M as None and a kappa_shift of 0 (None otherwise).
     """
     m = _gap_vector(p.ell, gap)
     shift = [(M - 1) * entry - m[i] for i, entry in enumerate(p.kappa_s)]
@@ -208,15 +176,15 @@ def _candidate(p: Params, M: int, gap: int) -> tuple[Params, DeformPlan]:
     mode = p.mode if M == 1 else KappaMode.rational(M * p.mode.value)
     h = (entry + delta for entry, delta in zip(p.h, shift))
     p2 = Params(mode, tuple(mode.scalar(value.a, value.b) for value in h))
-    return p2, DeformPlan(m=tuple(m), M=None if M == 1 else M)
+    return p2, {"M": None if M == 1 else M, "m": m, "kappa_shift": 0 if M == 1 else None}
 
 
 def deform_rational(
     p: Params,
     n: int,
     index_mode: IndexMode = IndexMode.LITERAL,
-    retry_bound: int = LocalizeOptions.retry_bound,
-) -> tuple[Params, DeformPlan]:
+    retry_bound: int = RETRY_BOUND,
+) -> tuple[Params, dict]:
     """Deform rational-kappa parameters through candidates with M = 1 + t*D.
 
     D clears the denominators of kappa and of every kappa*s_i, so all
@@ -238,8 +206,8 @@ def deform_formal(
     p: Params,
     n: int,
     index_mode: IndexMode = IndexMode.LITERAL,
-    retry_bound: int = LocalizeOptions.retry_bound,
-) -> tuple[Params, DeformPlan]:
+    retry_bound: int = RETRY_BOUND,
+) -> tuple[Params, dict]:
     """Deform formal-kappa parameters through candidates with M = 1: h' = h - m.
 
     Kappa stays fixed, so the component classes are carried over
@@ -265,7 +233,7 @@ class Certificate:
 
     assumed_lemmas = ASSUMED_LEMMAS
 
-    def __init__(self, p: Params, p_prime: Params, plan: DeformPlan, checks: tuple[dict, ...],
+    def __init__(self, p: Params, p_prime: Params, plan: dict, checks: tuple[dict, ...],
                  index_mode: IndexMode = IndexMode.LITERAL) -> None:
         if any(check["passed"] is False for check in checks):
             raise ValueError("certificates cannot carry failed checks")
@@ -286,32 +254,33 @@ class Certificate:
             "p": self.p.to_json(),
             "p_prime": self.p_prime.to_json(),
             "theta": self.theta.to_json(),
-            "plan": self.plan.to_json(),
+            "plan": self.plan,
             "checks": [dict(check) for check in self.checks],
             "assumed_lemmas": list(self.assumed_lemmas),
             "conventions": self.conventions,
         }
 
 
-def localize(p: Params, n: int, options: LocalizeOptions | None = None) -> Certificate:
+def localize(p: Params, n: int, *, index_mode: IndexMode = IndexMode.LITERAL,
+             oracle_bound: int = ORACLE_BOUND, retry_bound: int = RETRY_BOUND) -> Certificate:
     """Produce a generic stability vector for p with a verified certificate.
 
     Deforms p per its kappa mode, reads theta off the deformed
     parameters, and re-runs every check independently of the retry loop.
+    The order relations are compared only for n <= oracle_bound.
     """
-    options = options or LocalizeOptions()
     if n < 1:
         raise ValueError("need n >= 1")
-    if options.oracle_bound < 0:
+    if oracle_bound < 0:
         raise ValueError("need oracle_bound >= 0")
     deform = deform_rational if p.mode.is_rational else deform_formal
-    p2, plan = deform(p, n, options.index_mode, options.retry_bound)
-    checks = list(required_checks(p, p2, n, options.index_mode))
-    if n <= options.oracle_bound:
+    p2, plan = deform(p, n, index_mode, retry_bound)
+    checks = list(required_checks(p, p2, n, index_mode))
+    if n <= oracle_bound:
         same = relation_p(OrderInstance(p, n)) == relation_p(OrderInstance(p2, n))
         checks.append({"name": "order_relation_equal", "passed": same, "detail": {"n": n}})
     else:
-        skipped = {"skipped": f"n > {options.oracle_bound}"}
+        skipped = {"skipped": f"n > {oracle_bound}"}
         checks.append({"name": "order_relation_equal", "passed": None, "detail": skipped})
     witnesses = aspherical_witnesses(p, n)
     spherical = {"spherical": not witnesses, "witnesses": [w.to_json() for w in witnesses]}
@@ -321,7 +290,7 @@ def localize(p: Params, n: int, options: LocalizeOptions | None = None) -> Certi
     if failed:
         raise DeformationError(
             "verification failed after deformation",
-            {"failed_checks": failed, "plan": plan.to_json()},
+            {"failed_checks": failed, "plan": plan},
         )
 
-    return Certificate(p, p2, plan, tuple(checks), options.index_mode)
+    return Certificate(p, p2, plan, tuple(checks), index_mode)

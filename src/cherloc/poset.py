@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from typing import Hashable
+from collections import namedtuple
+from collections.abc import Hashable
 
 
 class Relation:
@@ -111,25 +112,7 @@ def _label_from_json(label):
     return label
 
 
-class OrderViolation:
-    """Witness that a relation is not a partial order."""
-
-    def __init__(self, kind: str, labels: tuple) -> None:
-        self.kind = kind  # "reflexivity" | "antisymmetry" | "transitivity"
-        self.labels = labels
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is type(self)
-                and (self.kind, self.labels) == (other.kind, other.labels))
-
-
-class RefinementResult:
-    def __init__(self, order: Relation | None, cycle: tuple | None) -> None:
-        self.order, self.cycle = order, cycle
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is type(self)
-                and (self.order, self.cycle) == (other.order, other.cycle))
+RefinementResult = namedtuple("RefinementResult", "order cycle")
 
 
 def _bits(row: int):
@@ -235,25 +218,25 @@ def reflexive_closure(rel: Relation) -> Relation:
     return Relation(rel.labels, [row | 1 << a for a, row in enumerate(rel.rows)])
 
 
-def is_partial_order(rel: Relation) -> OrderViolation | None:
+def is_partial_order(rel: Relation) -> tuple[str, tuple] | None:
     """None when rel is reflexive, antisymmetric, and transitive.
 
-    Otherwise the first witness: reflexivity before antisymmetry before
-    transitivity, each at the lowest a, then b, then c.
+    Otherwise the first witness (kind, labels): reflexivity before
+    antisymmetry before transitivity, each at the lowest a, then b, then c.
     """
     rows, labels = rel.rows, rel.labels
     for a, row in enumerate(rows):
         if not row >> a & 1:
-            return OrderViolation("reflexivity", (labels[a],))
+            return "reflexivity", (labels[a],)
     for a, row in enumerate(rows):
         for b in _bits(row & ~(1 << a)):
             if rows[b] >> a & 1:
-                return OrderViolation("antisymmetry", (labels[a], labels[b]))
+                return "antisymmetry", (labels[a], labels[b])
     for a, row in enumerate(rows):
         for b in _bits(row):
             c = next(_bits(rows[b] & ~row), None)
             if c is not None:
-                return OrderViolation("transitivity", (labels[a], labels[b], labels[c]))
+                return "transitivity", (labels[a], labels[b], labels[c])
     return None
 
 
@@ -297,7 +280,7 @@ def hasse(rel: Relation) -> Relation:
     """Transitive reduction of a partial order; no loops in the result."""
     violation = is_partial_order(rel)
     if violation is not None:
-        raise ValueError(f"not a partial order: {violation.kind} at {violation.labels}")
+        raise ValueError("not a partial order: {} at {}".format(*violation))
     strict = [row & ~(1 << a) for a, row in enumerate(rel.rows)]
     reduced = []
     for row in strict:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cherloc import LocalizeOptions, Params, ParamScalar, Relation
+from cherloc import IndexMode, Params, ParamScalar, Relation
 from cherloc.cli import JobSpec, _build_parser, _job_from_args, canonical_dumps, main
+from cherloc.deform import ORACLE_BOUND, RETRY_BOUND
 from test_poset import to_json_per_entry
 
 P2_OF_2 = [
@@ -232,9 +233,9 @@ def test_localize_jobs_carry_the_localize_defaults():
         "n": 2,
         "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}]},
     })
-    defaults = LocalizeOptions()
     for job in (from_flags, from_file):
-        assert LocalizeOptions(job.index_mode, job.oracle_bound, job.retry_bound) == defaults
+        assert (job.index_mode, job.oracle_bound, job.retry_bound) == (
+            IndexMode.LITERAL, ORACLE_BOUND, RETRY_BOUND)
 
 
 def test_size_guard_refuses_large_n(capsys):

@@ -11,10 +11,8 @@ from cherloc import (
     ASSUMED_LEMMAS,
     Certificate,
     DeformationError,
-    DeformPlan,
     IndexMode,
     KappaMode,
-    LocalizeOptions,
     Params,
     box_equiv,
     box_less,
@@ -27,7 +25,7 @@ from cherloc import (
     verify_preservation,
 )
 from cherloc import deform
-from cherloc.deform import _gap_vector, _rational_schedule, required_checks
+from cherloc.deform import RETRY_BOUND, _gap_vector, _rational_schedule, required_checks
 
 HALF = KappaMode.rational(Fraction(1, 2))
 FORMAL = KappaMode.formal()
@@ -35,7 +33,7 @@ FORMAL = KappaMode.formal()
 
 def test_pinned_instance_certificate():
     cert = localize(Params.build(HALF, [0]), 2)
-    assert cert.plan == DeformPlan(m=(0,), M=3)
+    assert cert.plan == {"M": 3, "m": [0], "kappa_shift": None}
     assert cert.p_prime.kappa.a == Fraction(3, 2)
     assert [s.a for s in cert.p_prime.h] == [0]
     assert [(t.a, t.b) for t in cert.theta.theta] == [(Fraction(-3, 2), 0)]
@@ -55,15 +53,14 @@ def test_pinned_instance_certificate():
 
 def test_integer_kappa_takes_the_first_multiplier():
     p2, plan = deform_rational(Params.build(KappaMode.rational(1), [0]), 2)
-    assert plan == DeformPlan(m=(0,), M=2)
+    assert plan == {"M": 2, "m": [0], "kappa_shift": None}
     assert p2.kappa.a == 2
 
 
 def test_formal_example_plan_and_parameters():
     p = Params.build(FORMAL, [Fraction(1, 4), Fraction(-1, 4)])
     cert = localize(p, 2)
-    assert cert.plan == DeformPlan(m=(0, 2))
-    assert cert.plan.M is None
+    assert cert.plan == {"M": None, "m": [0, 2], "kappa_shift": 0}
     assert [(s.a, s.b) for s in cert.p_prime.h] == [
         (Fraction(5, 4), 0),
         (Fraction(-5, 4), 0),
@@ -80,7 +77,7 @@ def test_tight_instance_widens_the_last_gap():
         KappaMode.rational(1), [Fraction(1, 8), 0, 0, Fraction(-1, 8)]
     )
     p2, plan = deform_rational(p, 2)
-    assert plan == DeformPlan(m=(0, 1, 3, 8), M=9)
+    assert plan == {"M": 9, "m": [0, 1, 3, 8], "kappa_shift": None}
     assert [s.a for s in p2.h] == [Fraction(9, 8), 1, 1, Fraction(-25, 8)]
     assert p2.kappa.a == 9
     assert verify_preservation(p, p2, 2) is None
@@ -243,11 +240,11 @@ def index_classes_from_s_coordinates(p):
 
 
 @st.composite
-def deform_params(draw):
-    """Parameters of either mode, ell <= 5, offsets with denominators up to
+def deform_params(draw, max_ell=5):
+    """Parameters of either mode, ell <= max_ell, offsets with denominators up to
     12 or ell, so that components often share classes; formal offsets carry
     equal or unequal kappa parts.  kappa is nonzero, as localize requires."""
-    ell = draw(st.integers(1, 5))
+    ell = draw(st.integers(1, max_ell))
     dens = sorted({1, 2, 3, 4, 6, 12, ell, 2 * ell})
     rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from(dens))
     a = [draw(rationals) for _ in range(ell)]
@@ -284,7 +281,7 @@ def rational_candidates_oracle(p, retry_bound):
             KappaMode.rational(M * kappa),
             [p.h[i].a + delta[i] for i in range(p.ell)],
         )
-        yield p2, DeformPlan(m=tuple(m), M=M)
+        yield p2, {"M": M, "m": m, "kappa_shift": None}
 
 
 def formal_candidates_oracle(p, retry_bound):
@@ -293,7 +290,7 @@ def formal_candidates_oracle(p, retry_bound):
         m = _gap_vector(p.ell, gap)
         m[-1] += (-sum(m)) % p.ell
         p2 = Params(p.mode, tuple(p.h[i] - m[i] for i in range(p.ell)))
-        yield p2, DeformPlan(m=tuple(m))
+        yield p2, {"M": None, "m": m, "kappa_shift": 0}
 
 
 def fed_candidates(p, count):
@@ -424,12 +421,14 @@ def test_preservation_refuses_an_empty_grid():
             verify_preservation(p, p, n)
 
 
-def test_plan_requires_strictly_increasing_m():
-    with pytest.raises(ValueError):
-        DeformPlan(m=(0, 0), M=2)
-    with pytest.raises(ValueError):
-        DeformPlan(m=(2, 1), M=2)
-    DeformPlan(m=(0, 1), M=2)
+@settings(max_examples=100, deadline=None)
+@given(p=deform_params(max_ell=4))
+def test_every_candidate_plan_is_well_formed(p):
+    # _candidate is the only producer of plans, over both schedules.
+    for _, plan in fed_candidates(p, RETRY_BOUND):
+        assert sorted(plan) == ["M", "kappa_shift", "m"]
+        assert all(a < b for a, b in zip(plan["m"], plan["m"][1:]))
+        assert (plan["kappa_shift"] == 0) == (plan["M"] is None)
 
 
 def test_certificate_rejects_failed_checks():
@@ -443,7 +442,7 @@ def test_certificate_rejects_failed_checks():
 @pytest.mark.parametrize("kappa", [HALF, FORMAL])
 def test_certificate_reads_theta_and_conventions_off_what_it_verified(mode, kappa):
     cert = localize(Params.build(kappa, [Fraction(1, 4), Fraction(-1, 4)]), 2,
-                    LocalizeOptions(index_mode=mode))
+                    index_mode=mode)
     assert cert.index_mode is mode
     assert cert.theta == theta_of_p(cert.p_prime)
     assert cert.conventions["genericity_index_mode"] == mode.value
@@ -459,8 +458,7 @@ def test_certificate_requires_two_lemmas():
 
 
 def test_oracle_bound_skips_the_relation_check():
-    options = LocalizeOptions(oracle_bound=1)
-    cert = localize(Params.build(HALF, [0]), 2, options)
+    cert = localize(Params.build(HALF, [0]), 2, oracle_bound=1)
     check = {c["name"]: c for c in cert.checks}["order_relation_equal"]
     assert check["passed"] is None
     assert check["detail"] == {"skipped": "n > 1"}
@@ -469,8 +467,8 @@ def test_oracle_bound_skips_the_relation_check():
 def test_negative_oracle_bound_rejected():
     p = Params.build(HALF, [0])
     with pytest.raises(ValueError, match="need oracle_bound >= 0"):
-        localize(p, 2, LocalizeOptions(oracle_bound=-1))
-    check = {c["name"]: c for c in localize(p, 2, LocalizeOptions(oracle_bound=0)).checks}
+        localize(p, 2, oracle_bound=-1)
+    check = {c["name"]: c for c in localize(p, 2, oracle_bound=0).checks}
     assert check["order_relation_equal"]["detail"] == {"skipped": "n > 0"}
 
 

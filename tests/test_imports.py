@@ -87,6 +87,12 @@ def test_the_cli_starts_without_dataclasses_or_its_imports():
     assert slow & set(cli_imports()) == set()
 
 
+def test_the_cli_starts_without_typing():
+    # typing takes about 5 ms of every job's start-up, and none of the
+    # standard library modules the package imports loads it.
+    assert "typing" not in cli_imports()
+
+
 def imported_modules(tree):
     """The modules that a module's import statements name."""
     for node in ast.walk(tree):

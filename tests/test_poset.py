@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cherloc import (
-    OrderViolation,
     RefinementResult,
     Relation,
     common_refinement,
@@ -124,16 +123,16 @@ def is_partial_order_oracle(rel):
     m, k, labels = rel.matrix, rel.size, rel.labels
     for a in range(k):
         if not m[a][a]:
-            return OrderViolation("reflexivity", (labels[a],))
+            return "reflexivity", (labels[a],)
     for a in range(k):
         for b in range(k):
             if a != b and m[a][b] and m[b][a]:
-                return OrderViolation("antisymmetry", (labels[a], labels[b]))
+                return "antisymmetry", (labels[a], labels[b])
     for a in range(k):
         for b in range(k):
             for c in range(k):
                 if m[a][b] and m[b][c] and not m[a][c]:
-                    return OrderViolation("transitivity", (labels[a], labels[b], labels[c]))
+                    return "transitivity", (labels[a], labels[b], labels[c])
     return None
 
 
@@ -353,14 +352,16 @@ def test_closure_is_idempotent():
 
 def test_partial_order_violations_are_witnessed():
     missing_diag = rel("ab", [("a", "b")], reflexive=False)
-    violation = is_partial_order(missing_diag)
-    assert violation.kind == "reflexivity"
+    assert is_partial_order(missing_diag) == ("reflexivity", ("a",))
 
     mutual = rel("ab", [("a", "b"), ("b", "a")])
-    assert is_partial_order(mutual).kind == "antisymmetry"
+    assert is_partial_order(mutual) == ("antisymmetry", ("a", "b"))
 
     gap = rel("abc", [("a", "b"), ("b", "c")])
-    assert is_partial_order(gap).kind == "transitivity"
+    assert is_partial_order(gap) == ("transitivity", ("a", "b", "c"))
+    message = r"^not a partial order: transitivity at \('a', 'b', 'c'\)$"
+    with pytest.raises(ValueError, match=message):
+        hasse(gap)
     assert is_partial_order(transitive_closure(gap)) is None
 
 
