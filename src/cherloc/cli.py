@@ -25,7 +25,7 @@ from .loci import (
     theta_of_p,
 )
 from .mporder import OrderInstance, relation_p
-from .poset import Relation, common_refinement, to_dot
+from .poset import Relation, common_refinement, refuse_constant, to_dot
 from .scalars import KappaMode, parse_scalar
 
 MAX_ELL_DEFAULT = 4
@@ -119,12 +119,14 @@ def _refuse_foreign_keys(data: dict, options: dict) -> None:
 
 
 def _read_json(path: str):
-    """The JSON value held in a job or relation file; NaN and Infinity are not JSON."""
-    def refuse(token: str):
-        raise ValueError(f"not JSON: {token}")
-
+    """The JSON value held in a job file; NaN and Infinity are not JSON."""
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle, parse_constant=refuse)
+        return json.load(handle, parse_constant=refuse_constant)
+
+
+def _read_relation(path: str) -> Relation:
+    with open(path, encoding="utf-8") as handle:
+        return Relation.loads(handle.read())
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -193,10 +195,7 @@ def _run_localize(job: JobSpec) -> tuple[dict, int]:
 
 
 def _run_common_refinement(job: JobSpec) -> tuple[dict | Relation, int]:
-    relations = []
-    for path in job.inputs:
-        relations.append(Relation.from_json(_read_json(path)))
-    result = common_refinement(*relations)
+    result = common_refinement(*map(_read_relation, job.inputs))
     if result.order is not None:
         return result.order, 0
     return {"cycle": result.cycle}, 1

@@ -49,17 +49,48 @@ class Relation:
         return bool(self.rows[texts.index(_label_text(a))] >> texts.index(_label_text(b)) & 1)
 
     def dumps(self) -> str:
-        """The canonical JSON text of labels and matrix, one reversed bit string per row."""
+        """The canonical JSON text of labels and matrix.
+
+        Each row is the row template with the row's reversed bit string
+        written over its entries by one stride-9 slice assignment.
+        """
         k = self.size
-        head = (json.dumps({"labels": self.labels}, indent=2, sort_keys=True)[:-2]
-                + ',\n  "matrix": [')
+        head = json.dumps({"labels": self.labels}, indent=2, sort_keys=True)[:-2]
         if not k:
-            return head + "]\n}\n"
-        rows = ["    [\n      " + ",\n      ".join(format(row, f"0{k}b")[::-1]) + "\n    ]"
-                for row in self.rows]
-        rows[0] = head + "\n" + rows[0]
-        rows[-1] += "\n  ]\n}\n"
+            return head + ',\n  "matrix": []\n}\n'
+        buffer, spec, rows = bytearray(_row_template(k).encode()), f"0{k}b", []
+        for row in self.rows:
+            buffer[12::9] = format(row, spec)[::-1].encode()
+            rows.append(buffer.decode())
+        rows[0] = head + _MATRIX + rows[0]
+        rows[-1] += _TAIL
         return ",\n".join(rows)
+
+    @classmethod
+    def loads(cls, text: str) -> Relation:
+        """The relation a JSON text holds, read as from_json(json.loads(text)) reads it.
+
+        Text in the layout dumps writes is read row by row.  Up to the first
+        _MATRIX marker, closed by a brace, it must parse as an object with
+        k >= 1 labels; then come k copies of the row template with some
+        entries 1, joined as dumps joins them.  A raw newline cannot occur
+        in a JSON string, so the marker lies outside every string; the head
+        parses as a whole object only when the marker is at its top level;
+        and the matrix member, coming last, overrides any earlier one, as in
+        json.loads.  Any other text takes the full parse, with its errors.
+        """
+        cut, rows = text.find(_MATRIX), None
+        if cut > 0:
+            try:
+                head = json.loads(text[:cut] + "\n}", parse_constant=refuse_constant)
+            except ValueError:
+                head = None
+            labels = head.get("labels") if isinstance(head, dict) else None
+            if isinstance(labels, list) and labels:
+                rows = _template_rows(text, cut + len(_MATRIX), len(labels))
+        if rows is None:
+            return cls.from_json(json.loads(text, parse_constant=refuse_constant))
+        return cls(tuple(map(_label_from_json, labels)), rows)
 
     def to_json(self) -> dict:
         return json.loads(self.dumps())
@@ -82,6 +113,39 @@ class Relation:
 
 _ENTRY = bytes.maketrans(b"01", b"\0\1")
 _DIGIT = bytes.maketrans(b"\0\1", b"01")
+
+
+# The text between the labels and the rows in dumps' layout, and after the rows.
+_MATRIX = ',\n  "matrix": [\n'
+_TAIL = "\n  ]\n}\n"
+
+
+def refuse_constant(token: str):
+    """parse_constant for json: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"not JSON: {token}")
+
+
+def _row_template(k: int) -> str:
+    """A row of k entries 0 as dumps writes it; entry b sits at offset 12 + 9*b."""
+    return "    [\n      " + "0,\n      " * (k - 1) + "0\n    ]"
+
+
+def _template_rows(text: str, at: int, k: int) -> list[int] | None:
+    """The k bit rows of dumps' layout from offset at of text to its end, or
+    None when the text there is not that layout."""
+    template = _row_template(k)
+    width = len(template)
+    end = at + k * (width + 2) - 2  # where the last row ends
+    if text[end:] != _TAIL:
+        return None
+    rows = []
+    for start in range(at, end, width + 2):
+        row = text[start:start + width]
+        if row.replace("1", "0") != template or not (
+                start + width == end or text.startswith(",\n", start + width)):
+            return None
+        rows.append(int(row[12::9][::-1], 2))
+    return rows
 
 
 def _packed(row: list) -> int:

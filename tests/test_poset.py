@@ -1,4 +1,6 @@
+import json
 import random
+from unittest import mock
 
 import pytest
 
@@ -307,6 +309,92 @@ def test_bit_rows_are_the_matrix_packed(data):
         for bad in (matrix[a] + [False], matrix[a][1:]):
             with pytest.raises(ValueError):
                 Relation(labels, matrix[:a] + [bad] + matrix[a + 1:])
+
+
+def refuse(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def full_parse(text):
+    """The relation file reader that Relation.loads must agree with."""
+    return Relation.from_json(json.loads(text, parse_constant=refuse))
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except ValueError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def layout(labels, rows):
+    """The text of order's artifact, written token by token: labels as JSON
+    values, rows as lists of entry texts."""
+    head = json.dumps({"labels": labels}, indent=2, sort_keys=True)[:-2]
+    body = ",\n".join("    [\n      " + ",\n      ".join(row) + "\n    ]" for row in rows)
+    return head + ',\n  "matrix": [\n' + body + "\n  ]\n}\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_relation_text_reads_as_the_full_parse_reads_it(data):
+    k = data.draw(st.integers(1, 40))
+    labels = tuple(data.draw(st.lists(LABELS, min_size=k, max_size=k, unique=True)))
+    rel = Relation(labels, data.draw(st.lists(st.integers(0, 2**k - 1), min_size=k, max_size=k)))
+    values = to_json_per_entry(labels, rel.matrix)["labels"]
+    tokens = [[str(int(v)) for v in row] for row in rel.matrix]
+    text = rel.dumps()
+    assert layout(values, tokens) == text
+    cut = text.index(',\n  "matrix": [')
+    a, b = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+
+    def entry(token):
+        return [row[:b] + [token] + row[b + 1:] if i == a else row for i, row in enumerate(tokens)]
+
+    # Texts in the layout dumps writes, read without the full parse.
+    canonical = [
+        text,
+        '{\n  "extra": {"matrix": [[2]]},\n' + text[2:],
+        '{\n  "matrix": [[2]],\n' + text[2:],
+        Relation((',\n  "matrix": [',) + labels[1:], rel.rows).dumps(),
+        Relation(('"matrix": [',) + labels[1:], rel.rows).dumps(),
+    ]
+    for case in canonical:
+        expected = full_parse(case)
+        with mock.patch.object(Relation, "from_json", side_effect=AssertionError(case)):
+            assert Relation.loads(case) == expected
+    assert Relation.loads(text) == rel
+    others = [
+        layout(values, entry("true" if tokens[a][b] == "1" else "false")),
+        json.dumps(rel.to_json(), indent=4),
+        json.dumps(rel.to_json()),
+        text.replace("\n", "\r\n"),
+        "\ufeff" + text,
+        '{\n  "extra": 0,\n  "matrix": [[2]],\n' + text[2:],
+        text[:-3] + ',\n  "extra": 0\n}\n',
+        layout(values, [row[:-1] if i == a else row for i, row in enumerate(tokens)]),
+        layout(values, tokens[:-1]),
+        layout(values, tokens + tokens[:1]),
+        layout(values, entry("2")),
+        layout(values, entry("01")),
+        layout(values, entry("1.0")),
+        text[:-6] + ",\n  ]\n}\n",
+        text[:-2] + "]\n",
+        text.replace('"matrix": [\n', '"matrix": [x', 1),
+        text[:cut] + text[cut:].replace("\n    ],\n", "\n    ] \n", 1),
+        text[:cut] + text[cut:].replace(",\n      ", " \n      ", 1),
+        text.replace('"labels": [', '"labels": [\n    NaN,', 1),
+        layout(values[:a] + [float("nan")] + values[a + 1:], tokens).replace("NaN", "Infinity"),
+        layout(values[:a] + [{"a": 1}] + values[a + 1:], tokens),
+        layout(values[:a] + values[a + 1:] + [values[a]], tokens),
+        layout(values[:-1] + [values[0]], tokens),
+        layout([], []),
+        Relation((), ()).dumps(),
+        text + " ",
+        text[:-1],
+    ]
+    for case in others:
+        assert outcome(Relation.loads, case) == outcome(full_parse, case)
 
 
 @pytest.mark.parametrize("entry", [2, 1.0, None, [1], -1, 256, "0", "1"])
