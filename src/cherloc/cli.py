@@ -39,85 +39,6 @@ def canonical_dumps(payload: dict | Relation) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-class JobSpec:
-    """One resolved invocation: a command plus its inputs and options."""
-
-    def __init__(
-        self,
-        command: str,
-        ell: int | None = None,
-        n: int | None = None,
-        params: Params | None = None,
-        theta: Stability | None = None,
-        inputs: tuple[str, ...] = (),
-        index_mode: IndexMode = IndexMode.LITERAL,
-        oracle_bound: int = ORACLE_BOUND,
-        retry_bound: int = RETRY_BOUND,
-        out: str | None = None,
-        dot: str | None = None,
-        max_n: int | None = None,
-    ) -> None:
-        self.command, self.ell, self.n = command, ell, n
-        self.params, self.theta, self.inputs = params, theta, inputs
-        self.index_mode = index_mode
-        self.oracle_bound, self.retry_bound = oracle_bound, retry_bound
-        self.out, self.dot, self.max_n = out, dot, max_n
-
-    @classmethod
-    def from_json(cls, data: dict) -> JobSpec:
-        if not isinstance(data, dict):
-            raise ValueError("a job file must hold a JSON object")
-        options = data.get("options", {})
-        if not isinstance(options, dict):
-            raise ValueError("job options must be a JSON object")
-        ells = [data.get("ell"), _length(data.get("params"), "h"),
-                _length(data.get("theta"), "theta")]
-        _guard_sizes(ells, data.get("n"), options.get("max_n"))
-        _refuse_foreign_keys(data, options)
-        params = Params.from_json(data["params"]) if data.get("params") else None
-        theta = Stability.from_json(data["theta"]) if data.get("theta") else None
-        if type(ells[0]) is int and any(size not in (None, ells[0]) for size in ells[1:]):
-            raise ValueError("job field 'ell' must equal the lengths of params.h and theta.theta")
-        inputs = _field(data, "inputs", list, [])
-        if not all(isinstance(path, str) for path in inputs):
-            raise ValueError("job field 'inputs' must list file paths")
-        return cls(
-            command=_field(data, "command", str),
-            ell=_field(data, "ell", int),
-            n=_field(data, "n", int),
-            params=params,
-            theta=theta,
-            inputs=tuple(inputs),
-            index_mode=IndexMode(options.get("index_mode", "literal")),
-            oracle_bound=_field(options, "oracle_bound", int, ORACLE_BOUND),
-            retry_bound=_field(options, "retry_bound", int, RETRY_BOUND),
-            out=_field(options, "out", str),
-            dot=_field(options, "dot", str),
-            max_n=_field(options, "max_n", int),
-        )
-
-
-def _field(data: dict, key: str, kind: type, default=None):
-    """data[key] checked to be a kind (never a bool), or default when absent."""
-    value = data.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"job field {key!r} must be of type {kind.__name__}")
-    return value
-
-
-def _refuse_foreign_keys(data: dict, options: dict) -> None:
-    """Refuse a job key no flag of its command declares; run() reports unknown commands."""
-    if isinstance(data.get("command"), str) and data["command"] in COMMANDS:
-        flags = COMMANDS[data["command"]].arguments.split()
-        top = {"command", "options", *(_TOP_LEVEL.get(flag) for flag in flags)}
-        taken = {flag[2:].replace("-", "_") for flag in flags if flag not in _TOP_LEVEL}
-        foreign = [key for key in data if key not in top] + [k for k in options if k not in taken]
-        if foreign:
-            raise ValueError(f"{data['command']} takes no job field {foreign[0]!r}")
-
-
 def _read_json(path: str):
     """The JSON value held in a job file; NaN and Infinity are not JSON."""
     with open(path, encoding="utf-8") as handle:
@@ -153,25 +74,25 @@ def _guard_sizes(ells: list, n, max_n) -> None:
         raise ValueError(f"n > {cap} refused by the size guard (--max-n raises it)")
 
 
-def _run_enumerate(job: JobSpec) -> tuple[dict, int]:
+def _run_enumerate(job: argparse.Namespace) -> tuple[dict, int]:
     labels = enumerate_multipartitions(job.ell, job.n)
     return {"ell": job.ell, "n": job.n, "labels": [mp.to_json() for mp in labels]}, 0
 
 
-def _run_order(job: JobSpec) -> tuple[Relation, int]:
+def _run_order(job: argparse.Namespace) -> tuple[Relation, int]:
     rel = relation_p(OrderInstance(job.params, job.n))
     if job.dot is not None:
         _emit(to_dot(rel), job.dot)
     return rel, 0
 
 
-def _run_spherical(job: JobSpec) -> tuple[dict, int]:
+def _run_spherical(job: argparse.Namespace) -> tuple[dict, int]:
     witnesses = aspherical_witnesses(job.params, job.n)
     artifact = {"spherical": not witnesses, "witnesses": [w.to_json() for w in witnesses]}
     return artifact, 0 if not witnesses else 1
 
 
-def _run_generic(job: JobSpec) -> tuple[dict, int]:
+def _run_generic(job: argparse.Namespace) -> tuple[dict, int]:
     witness = genericity_witness(job.theta, job.n, job.index_mode)
     artifact = {
         "generic": witness is None,
@@ -181,11 +102,11 @@ def _run_generic(job: JobSpec) -> tuple[dict, int]:
     return artifact, 0 if witness is None else 1
 
 
-def _run_theta(job: JobSpec) -> tuple[dict, int]:
+def _run_theta(job: argparse.Namespace) -> tuple[dict, int]:
     return theta_of_p(job.params).to_json(), 0
 
 
-def _run_localize(job: JobSpec) -> tuple[dict, int]:
+def _run_localize(job: argparse.Namespace) -> tuple[dict, int]:
     try:
         cert = localize(job.params, job.n, index_mode=job.index_mode,
                         oracle_bound=job.oracle_bound, retry_bound=job.retry_bound)
@@ -194,7 +115,7 @@ def _run_localize(job: JobSpec) -> tuple[dict, int]:
         return {"failed": "deformation", **err.diagnostics}, 1
 
 
-def _run_common_refinement(job: JobSpec) -> tuple[dict | Relation, int]:
+def _run_common_refinement(job: argparse.Namespace) -> tuple[dict | Relation, int]:
     result = common_refinement(*map(_read_relation, job.inputs))
     if result.order is not None:
         return result.order, 0
@@ -222,8 +143,8 @@ _TOP_LEVEL = {"--ell": "ell", "--n": "n", "--kappa": None, "--h": "params",
               "--theta": "theta", "inputs": "inputs"}
 
 
-# A subcommand: help, handler returning (artifact, exit code), required
-# JobSpec fields, and arguments in the order argparse reports them missing.
+# A subcommand: help, handler returning (artifact, exit code), the job
+# attributes it requires, and arguments in the order argparse reports them missing.
 Command = namedtuple("Command", "help handler required arguments")
 
 
@@ -246,7 +167,7 @@ COMMANDS = {
 }
 
 
-def run(job: JobSpec) -> int:
+def run(job: argparse.Namespace) -> int:
     if job.command not in COMMANDS:
         raise ValueError(f"unknown command: {job.command}")
     command = COMMANDS[job.command]
@@ -298,17 +219,70 @@ def _scalars(text: str | None, flag: str, mode: KappaMode, ell: int) -> tuple:
     return tuple(entries)
 
 
-def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    job = JobSpec(**{k: v for k, v in vars(args).items() if k not in ("kappa", "h", "theta")})
-    _guard_sizes([job.ell], job.n, job.max_n)
-    job.index_mode = IndexMode(job.index_mode)
-    job.inputs = tuple(job.inputs)
-    if hasattr(args, "kappa"):
+def _job_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The job argparse read, size-guarded, with params or theta built from kappa."""
+    given = vars(args)
+    _guard_sizes([given.get("ell")], given.get("n"), given.get("max_n"))
+    if "kappa" in given:
         mode = KappaMode.from_label(args.kappa)
-        if hasattr(args, "h"):
-            job.params = Params(mode, _scalars(args.h, "h", mode, args.ell))
+        if "h" in given:
+            args.params = Params(mode, _scalars(args.h, "h", mode, args.ell))
         else:
-            job.theta = Stability(_scalars(args.theta, "theta", mode, args.ell))
+            args.theta = Stability(_scalars(args.theta, "theta", mode, args.ell))
+    return _typed(args)
+
+
+def _job_from_json(data) -> argparse.Namespace:
+    """The job a job file holds: every flag read under its job key, with the type, default
+    and choices of its _ARGUMENTS entry; keys no flag of the command has are refused."""
+    if not isinstance(data, dict):
+        raise ValueError("a job file must hold a JSON object")
+    options = data.get("options", {})
+    if not isinstance(options, dict):
+        raise ValueError("job options must be a JSON object")
+    ells = [data.get("ell"), _length(data.get("params"), "h"), _length(data.get("theta"), "theta")]
+    _guard_sizes(ells, data.get("n"), options.get("max_n"))
+    command = _field(data, "command", {})
+    keys = {flag: _TOP_LEVEL.get(flag, flag[2:].replace("-", "_")) for flag in _ARGUMENTS}
+    flags = COMMANDS[command].arguments.split() if command in COMMANDS else ()
+    top = ["command", "options", *(keys[flag] for flag in flags if flag in _TOP_LEVEL)]
+    under = [keys[flag] for flag in flags if flag not in _TOP_LEVEL]
+    foreign = [key for key in data if key not in top] + [key for key in options if key not in under]
+    if flags and foreign:
+        raise ValueError(f"{command} takes no job field {foreign[0]!r}")
+    params = Params.from_json(data["params"]) if data.get("params") else None
+    theta = Stability.from_json(data["theta"]) if data.get("theta") else None
+    if type(ells[0]) is int and any(size not in (None, ells[0]) for size in ells[1:]):
+        raise ValueError("job field 'ell' must equal the lengths of params.h and theta.theta")
+    job = argparse.Namespace(command=command, params=params, theta=theta)
+    for flag, key in keys.items():
+        where = data if flag in _TOP_LEVEL else options
+        if key not in (None, "params", "theta"):
+            setattr(job, key, _field(where, key, _ARGUMENTS[flag]))
+    return _typed(job)
+
+
+def _field(data: dict, key: str, argument: dict):
+    """data[key] checked against a flag's add_argument keywords, or their default when absent."""
+    value = data.get(key)
+    if value is None:
+        return argument.get("default")
+    kind = list if "nargs" in argument else argument.get("type", str)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"job field {key!r} must be of type {kind.__name__}")
+    if kind is list and not all(isinstance(path, str) for path in value):
+        raise ValueError(f"job field {key!r} must list file paths")
+    if "choices" in argument and value not in argument["choices"]:
+        raise ValueError(f"job field {key!r} must be one of {argument['choices']}")
+    return value
+
+
+def _typed(job: argparse.Namespace) -> argparse.Namespace:
+    """job with index_mode an IndexMode and inputs a tuple, where it has them."""
+    if hasattr(job, "index_mode"):
+        job.index_mode = IndexMode(job.index_mode)
+    if getattr(job, "inputs", None) is not None:
+        job.inputs = tuple(job.inputs)
     return job
 
 
@@ -317,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser(argv).parse_args(argv)
     try:
         if args.command == "job":
-            job = JobSpec.from_json(_read_json(args.jobfile))
+            job = _job_from_json(_read_json(args.jobfile))
         else:
             job = _job_from_args(args)
         return run(job)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cherloc import IndexMode, Params, ParamScalar, Relation
-from cherloc.cli import JobSpec, _build_parser, _job_from_args, canonical_dumps, main
+from cherloc.cli import (
+    COMMANDS as CLI_COMMANDS,
+    _build_parser,
+    _job_from_args,
+    _job_from_json,
+    canonical_dumps,
+    main,
+)
 from cherloc.deform import ORACLE_BOUND, RETRY_BOUND
 from test_poset import to_json_per_entry
 
@@ -222,25 +230,40 @@ def test_job_file_carries_params_and_options(capsys, tmp_path):
     assert named["order_relation_equal"]["passed"] is None
 
 
-def test_jobspec_from_json_defaults():
-    job = JobSpec.from_json({"command": "enumerate", "ell": 2, "n": 1})
-    assert job.params is None
-    assert job.oracle_bound == 6
-    assert job.index_mode.value == "literal"
+# command -> its shortest command line and the job file that says the same.
+ZERO_H = {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}]}
+SHORTEST = {
+    "enumerate": ("--ell 1 --n 2", {"ell": 1, "n": 2}),
+    "order": ("--ell 1 --n 2 --kappa 1/2", {"ell": 1, "n": 2, "params": ZERO_H}),
+    "spherical": ("--ell 1 --n 2 --kappa 1/2", {"ell": 1, "n": 2, "params": ZERO_H}),
+    "generic": ("--ell 1 --n 2 --kappa 1/2 --theta 1",
+                {"ell": 1, "n": 2, "theta": {"kappa": "1/2", "theta": [{"a": "1"}]}}),
+    "theta": ("--ell 1 --kappa 1/2", {"ell": 1, "params": ZERO_H}),
+    "localize": ("--ell 1 --n 2 --kappa 1/2", {"ell": 1, "n": 2, "params": ZERO_H}),
+    "common-refinement": ("a.json b.json", {"inputs": ["a.json", "b.json"]}),
+}
 
 
-def test_localize_jobs_carry_the_localize_defaults():
-    argv = ["localize", "--ell", "1", "--n", "2", "--kappa", "1/2"]
-    from_flags = _job_from_args(_build_parser(argv).parse_args(argv))
-    from_file = JobSpec.from_json({
-        "command": "localize",
-        "ell": 1,
-        "n": 2,
-        "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}]},
-    })
-    for job in (from_flags, from_file):
-        assert (job.index_mode, job.oracle_bound, job.retry_bound) == (
-            IndexMode.LITERAL, ORACLE_BOUND, RETRY_BOUND)
+def test_flag_and_file_jobs_agree_and_carry_the_defaults():
+    # A handler and run() read the command and the dest of each of its
+    # flags, --h read as params and --kappa riding in params or theta.
+    assert set(SHORTEST) == set(CLI_COMMANDS)
+    for command, (flags, fields) in SHORTEST.items():
+        argv = [command, *flags.split()]
+        from_flags = _job_from_args(_build_parser(argv).parse_args(argv))
+        from_file = _job_from_json({"command": command, **fields})
+        read = ["command"] + [{"--h": "params"}.get(flag, flag.lstrip("-").replace("-", "_"))
+                              for flag in CLI_COMMANDS[command].arguments.split()
+                              if flag != "--kappa"]
+        for name in read:
+            assert getattr(from_flags, name) == getattr(from_file, name), (command, name)
+        if command == "localize":
+            assert (from_file.index_mode, from_file.oracle_bound, from_file.retry_bound) == (
+                IndexMode.LITERAL, ORACLE_BOUND, RETRY_BOUND)
+    enumerate_job = _job_from_json({"command": "enumerate", "ell": 2, "n": 1})
+    assert enumerate_job.params is None
+    assert enumerate_job.oracle_bound == 6
+    assert enumerate_job.index_mode.value == "literal"
 
 
 def test_size_guard_refuses_large_n(capsys):
@@ -325,6 +348,13 @@ FOREIGN_KEY = {
 }
 
 
+# Jobs whose index_mode option has the wrong type or is not one of its choices.
+GENERIC_JOB = {"command": "generic", "ell": 1, "n": 1,
+               "theta": {"kappa": "1/2", "theta": [{"a": "1"}]}}
+BAD_INDEX_MODE = [{**GENERIC_JOB, "options": {"index_mode": 5}},
+                  {**GENERIC_JOB, "options": {"index_mode": "bogus"}}]
+
+
 def assert_names_the_key(case, err):
     for key, missing in MISSING_FIELD.items():
         if missing is case:
@@ -332,6 +362,8 @@ def assert_names_the_key(case, err):
     for key, foreign in FOREIGN_KEY.items():
         if foreign is case:
             assert err == f"cherloc: {case['command']} takes no job field {key!r}\n"
+    if any(bad is case for bad in BAD_INDEX_MODE):
+        assert err.startswith("cherloc: job field 'index_mode' must be ")
 
 
 @pytest.mark.parametrize(
@@ -370,6 +402,7 @@ def assert_names_the_key(case, err):
         # nesting deeper than json.load recurses, written out as text
         pytest.param('{"command": "theta", "params": ' + "[" * 100000 + "]" * 100000 + "}",
                      id="params-nested-100000-deep"),
+        *BAD_INDEX_MODE,
     ],
 )
 def test_malformed_job_file_exits_2_with_one_line(capsys, tmp_path, job):
@@ -725,6 +758,43 @@ def test_fuzzed_job_files_keep_the_exit_contract(job, tmp_path_factory):
     (tmp / "job.json").write_text(json.dumps(job))
     code, out, err, written = _main_in(tmp, ["job", "job.json"])
     _assert_exit_contract(code, out, err, written)
+
+
+def _scalar_json(text, formal):
+    """The JSON object of a scalar _scalar_text wrote: {"a", "b"} when formal."""
+    a, b = re.fullmatch(r"(.+?)(?:([+-]1)k)?", text).groups()
+    return {"a": a, "b": b or "0"} if formal else {"a": a}
+
+
+@st.composite
+def command_lines_and_job_files(draw):
+    """A well-formed command line and the job file that says the same."""
+    command = draw(st.sampled_from(COMMANDS))
+    fields = draw(well_formed_fields(command))
+    argv = [command]
+    job = {"command": command, "options": {}}
+    for name, value in fields.items():
+        argv.append(f"--{name}={','.join(value) if isinstance(value, list) else value}")
+        if name in ("h", "theta"):
+            scalars = [_scalar_json(text, fields["kappa"] == "formal") for text in value]
+            job[{"h": "params"}.get(name, name)] = {
+                "ell": fields["ell"], "kappa": fields["kappa"], name: scalars}
+        elif name in ("ell", "n"):
+            job[name] = value
+        elif name != "kappa":
+            job["options"][name.replace("-", "_")] = value
+    return argv, job
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=command_lines_and_job_files())
+def test_a_job_file_gives_what_its_command_line_gives(case, tmp_path_factory):
+    argv, job = case
+    tmp = tmp_path_factory.mktemp("same")
+    (tmp / "job.json").write_text(json.dumps(job))
+    from_flags = _main_in(tmp, argv)
+    from_file = _main_in(tmp, ["job", "job.json"])
+    assert from_file[:2] == from_flags[:2]
 
 
 @st.composite
