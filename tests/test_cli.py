@@ -244,7 +244,7 @@ SHORTEST = {
 }
 
 
-def test_flag_and_file_jobs_agree_and_carry_the_defaults():
+def test_flag_and_file_jobs_agree():
     # A handler and run() read the command and the dest of each of its
     # flags, --h read as params and --kappa riding in params or theta.
     assert set(SHORTEST) == set(CLI_COMMANDS)
@@ -257,13 +257,22 @@ def test_flag_and_file_jobs_agree_and_carry_the_defaults():
                               if flag != "--kappa"]
         for name in read:
             assert getattr(from_flags, name) == getattr(from_file, name), (command, name)
-        if command == "localize":
-            assert (from_file.index_mode, from_file.oracle_bound, from_file.retry_bound) == (
-                IndexMode.LITERAL, ORACLE_BOUND, RETRY_BOUND)
-    enumerate_job = _job_from_json({"command": "enumerate", "ell": 2, "n": 1})
-    assert enumerate_job.params is None
-    assert enumerate_job.oracle_bound == 6
-    assert enumerate_job.index_mode.value == "literal"
+
+
+def test_jobspec_from_json_defaults():
+    job = _job_from_json({"command": "enumerate", "ell": 2, "n": 1})
+    assert job.params is None
+    assert job.oracle_bound == 6
+    assert job.index_mode.value == "literal"
+
+
+def test_localize_jobs_carry_the_localize_defaults():
+    argv = ["localize", "--ell", "1", "--n", "2", "--kappa", "1/2"]
+    from_flags = _job_from_args(_build_parser(argv).parse_args(argv))
+    from_file = _job_from_json({"command": "localize", "ell": 1, "n": 2, "params": ZERO_H})
+    for job in (from_flags, from_file):
+        assert (job.index_mode, job.oracle_bound, job.retry_bound) == (
+            IndexMode.LITERAL, ORACLE_BOUND, RETRY_BOUND)
 
 
 def test_size_guard_refuses_large_n(capsys):
