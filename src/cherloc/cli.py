@@ -20,8 +20,8 @@ from .deform import ORACLE_BOUND, RETRY_BOUND, DeformationError, localize
 from .loci import (
     IndexMode,
     Stability,
-    aspherical_witnesses,
     genericity_witness,
+    spherical_report,
     theta_of_p,
 )
 from .mporder import OrderInstance, relation_p
@@ -87,9 +87,8 @@ def _run_order(job: argparse.Namespace) -> tuple[Relation, int]:
 
 
 def _run_spherical(job: argparse.Namespace) -> tuple[dict, int]:
-    witnesses = aspherical_witnesses(job.params, job.n)
-    artifact = {"spherical": not witnesses, "witnesses": [w.to_json() for w in witnesses]}
-    return artifact, 0 if not witnesses else 1
+    report = spherical_report(job.params, job.n)
+    return report, 0 if report["spherical"] else 1
 
 
 def _run_generic(job: argparse.Namespace) -> tuple[dict, int]:

@@ -19,8 +19,8 @@ from .boxorder import Params, content_table
 from .loci import (
     IndexMode,
     Stability,
-    aspherical_witnesses,
     genericity_witness,
+    spherical_report,
     theta_of_p,
 )
 from .mporder import OrderInstance, relation_p
@@ -282,9 +282,7 @@ def localize(p: Params, n: int, *, index_mode: IndexMode = IndexMode.LITERAL,
     else:
         skipped = {"skipped": f"n > {oracle_bound}"}
         checks.append({"name": "order_relation_equal", "passed": None, "detail": skipped})
-    witnesses = aspherical_witnesses(p, n)
-    spherical = {"spherical": not witnesses, "witnesses": [w.to_json() for w in witnesses]}
-    checks.append({"name": "spherical", "passed": None, "detail": spherical})
+    checks.append({"name": "spherical", "passed": None, "detail": spherical_report(p, n)})
 
     failed = [check["name"] for check in checks if check["passed"] is False]
     if failed:

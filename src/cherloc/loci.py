@@ -7,6 +7,7 @@ comparing rationals.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations, product
@@ -91,37 +92,18 @@ def genericity_witness(
     return None
 
 
-class KappaFraction:
+class KappaFraction(namedtuple("KappaFraction", "r s")):
     """Aspherical hyperplane kappa = r/s with 0 < r <= s <= n, s > 1."""
 
-    def __init__(self, r: int, s: int) -> None:
-        self.r, self.s = r, s
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and (self.r, self.s) == (other.r, other.s)
-
     def to_json(self) -> dict:
-        return {"family": "kappa-fraction", "r": self.r, "s": self.s}
+        return {"family": "kappa-fraction", **self._asdict()}
 
 
-class ContentHyperplane:
+class ContentHyperplane(namedtuple("ContentHyperplane", "i m N j")):
     """Aspherical hyperplane N/ell = h_j - h_i + m*kappa with j = i - N mod ell."""
 
-    def __init__(self, i: int, m: int, N: int, j: int) -> None:
-        self.i, self.m, self.N, self.j = i, m, N, j
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is type(self)
-                and (self.i, self.m, self.N, self.j) == (other.i, other.m, other.N, other.j))
-
     def to_json(self) -> dict:
-        return {
-            "family": "content-hyperplane",
-            "i": self.i,
-            "m": self.m,
-            "N": self.N,
-            "j": self.j,
-        }
+        return {"family": "content-hyperplane", **self._asdict()}
 
 
 def is_N_in_bound(n: int, m: int, i: int, ell: int, N: int) -> bool:
@@ -162,6 +144,12 @@ def aspherical_witnesses(p: Params, n: int) -> list[KappaFraction | ContentHyper
         witnesses += [ContentHyperplane(i, m, N, j) for N, j in solved
                       if N >= 1 and is_N_in_bound(n, m, i, p.ell, N)]
     return witnesses
+
+
+def spherical_report(p: Params, n: int) -> dict:
+    """Whether p is spherical at size n, with every aspherical witness as JSON."""
+    witnesses = aspherical_witnesses(p, n)
+    return {"spherical": not witnesses, "witnesses": [w.to_json() for w in witnesses]}
 
 
 def theta_of_p(p: Params) -> Stability:

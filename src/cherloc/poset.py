@@ -31,7 +31,8 @@ class Relation:
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self)
-                and (self.labels, self.rows) == (other.labels, other.rows))
+                and (self.labels, self.rows) == (other.labels, other.rows)
+                and _label_text(self.labels) == _label_text(other.labels))
 
     def __hash__(self) -> int:
         return hash((self.labels, self.rows))

@@ -190,7 +190,7 @@ def test_localize_input_guards():
 # At ell = 3 the shifts (i - j)/ell of box_equiv and (j - i)/ell of
 # index_classes differ: h = (0, 1/3, 2/3) puts boxes (1,1,i) of all three
 # components in one content class, yet its index classes are singletons.
-# ROADMAP item 1's open question (which i/ell shift relates components)
+# ROADMAP item 3's open question (which i/ell shift relates components)
 # decides the ell = 3 rows.
 @pytest.mark.parametrize(
     "mode, h, expected",

@@ -57,7 +57,12 @@ def _generated_pair(seed: int, k: int, reversals: int):
     return [_relation(labels, rows) for rows in pair]
 
 
-# Input files, written afresh for every case.
+def _order_layout(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# Input files, written afresh for every case: a text as it is, anything else
+# as compact JSON.
 FILES = {
     "chain.json": _relation([1, 2, 3], [[1, 0, 0], [1, 1, 0], [1, 1, 1]]),
     "pair.json": _relation([1, 3], [[1, 1], [0, 1]]),
@@ -105,6 +110,13 @@ FILES = {
 }
 FILES["gen-order-1.json"], FILES["gen-order-2.json"] = _generated_pair(8, 100, 0)
 FILES["gen-cycle-1.json"], FILES["gen-cycle-2.json"] = _generated_pair(9, 104, 4)
+# Relations in the layout `order` writes, which Relation.loads reads row by row;
+# the compact files above take its full parse.
+FILES.update({f"laid-{name}": _order_layout(FILES[name]) for name in (
+    "chain.json", "antichain.json", "partial.json", "gen-cycle-1.json", "gen-cycle-2.json")})
+FILES["laid-entry-2.json"] = _order_layout(_relation([1, 2], [[1, 2], [0, 1]]))
+# A job file that holds a constant JSON does not have.
+FILES["job-nan.json"] = {"command": "enumerate", "ell": 1, "n": float("nan")}
 
 
 def _localize_cases():
@@ -220,6 +232,11 @@ def _cases():
         ["common-refinement", "chain.json", "missing.json"],
         ["common-refinement", "gen-order-1.json", "gen-order-2.json"],
         ["common-refinement", "gen-cycle-1.json", "gen-cycle-2.json"],
+        ["common-refinement", "laid-chain.json", "laid-antichain.json"],
+        ["common-refinement", "laid-gen-cycle-1.json", "laid-gen-cycle-2.json"],
+        ["common-refinement", "laid-partial.json", "partial-cycle.json"],
+        # An entry 2 fails the row template, so the full parse refuses it.
+        ["common-refinement", "chain.json", "laid-entry-2.json"],
     ]
     cases += [["job", name] for name in sorted(FILES) if name.startswith("job-")]
     # Invalid input: exit 2 with one line.
@@ -248,7 +265,8 @@ def digest(argv: list[str]) -> str:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, payload in FILES.items():
-            Path(tmp, name).write_text(json.dumps(payload), encoding="utf-8")
+            text = payload if isinstance(payload, str) else json.dumps(payload)
+            Path(tmp, name).write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         os.chdir(tmp)
         try:

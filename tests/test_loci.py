@@ -121,6 +121,12 @@ def test_content_hyperplane_pinned_instance():
     formal = Params.build(FORMAL, [Fraction(1, 4), Fraction(-1, 4)])
     assert aspherical_witnesses(formal, 1) == [ContentHyperplane(1, 0, 1, 0)]
 
+    # The JSON form keeps its keys, and both records hash.
+    assert KappaFraction(1, 2).to_json() == {"family": "kappa-fraction", "r": 1, "s": 2}
+    assert ContentHyperplane(1, 0, 1, 0).to_json() == {
+        "family": "content-hyperplane", "i": 1, "m": 0, "N": 1, "j": 0}
+    assert len({KappaFraction(1, 2), KappaFraction(1, 2), ContentHyperplane(1, 0, 1, 0)}) == 2
+
 
 def test_content_hyperplane_structure():
     p = Params.build(

@@ -419,6 +419,10 @@ def test_labels_are_told_apart_by_json_text():
     with pytest.raises(ValueError):
         rel.holds(1.0, 1)
     assert Relation((1, 1.0, True, (1, 2), (True, 2)), [0] * 5).size == 5
+    # Equality follows the same identity: each pair is two relations, in one slot.
+    for other in ((True,), (1.0,)):
+        assert Relation((1,), [1]) != Relation(other, [1])
+        assert len({Relation((1,), [1]), Relation(other, [1])}) == 2
     for labels in ((1, 1), ("a", "a"), ((1, 2), (1, 2))):
         with pytest.raises(ValueError, match="^labels must be unique$"):
             Relation(labels, [0, 0])

@@ -3,7 +3,9 @@
 perfbench/tracer.py looks each traced function up by name and rewraps the
 Relation.from_json classmethod; a rename in cherloc would otherwise break
 only the benchmark's traced pass.  A traced `order` run must count its one
-artifact dump, its one relation_p call and the scalars it builds.  The tracer
+artifact dump, its one relation_p call and the scalars it builds; a
+`spherical` and a `localize` run must each reach aspherical_witnesses through
+loci.spherical_report, since neither cli nor deform holds that name.  The tracer
 is installed in a fresh interpreter, so the wrapping never reaches this test
 session.
 """
@@ -28,6 +30,9 @@ assert tracer.counters["cli.canonical_dumps.calls"] == 1, tracer.counters
 assert tracer.counters["mporder.relation_p.calls"] == 1, tracer.counters
 # ParamScalar.__init__ calls the wrapped __post_init__ hook for every scalar.
 assert tracer.counters["scalars.param_scalars"] > 0, tracer.counters
+assert cherloc.cli.main(["spherical", "--ell", "1", "--n", "2", "--kappa", "1/2"]) == 1
+assert cherloc.cli.main(["localize", "--ell", "1", "--n", "2", "--kappa", "1/2"]) == 0
+assert tracer.counters["loci.aspherical_witnesses.calls"] == 2, tracer.counters
 """
 
 
