@@ -64,17 +64,18 @@ def verify_preservation(p: Params, p2: Params, n: int) -> dict | None:
 
     Reads both orders off the content_table of each: two boxes are
     equivalent when their class ids agree, and b1 < b2 when besides
-    b1 has the smaller integer content.  Walks the ordered pairs of
-    relevant_boxes(ell, n), b1 outer, testing equivalence before order;
-    returns the first disagreement as {"b1", "b2", "predicate", "before",
-    "after"}, or None.
+    b1 has the smaller integer content.  Both depend only on (i1, i2,
+    d1 - d2), d = y - x, and the box of each (component, diagonal) in row 1
+    or column 1 comes first in relevant_boxes order; so the pairs of those
+    boxes, b1 outer, equivalence first, hold the first disagreement of the
+    grid, returned as {"b1", "b2", "predicate", "before", "after"}, or None.
     """
     if p.ell != p2.ell:
         raise ValueError("parameter vectors have different lengths")
     if n < 1:
         raise ValueError("need n >= 1")
     old, new = content_table(p, n), content_table(p2, n)
-    grid = [(box, *old[box], *new[box]) for box in old]
+    grid = [(box, *old[box], *new[box]) for box in old if 1 in (box.x, box.y)]
     for b1, old_class1, old_content1, new_class1, new_content1 in grid:
         for b2, old_class2, old_content2, new_class2, new_content2 in grid:
             before, after = old_class1 == old_class2, new_class1 == new_class2
@@ -161,12 +162,12 @@ def _gap_vector(ell: int, gap: int) -> list[int]:
 
 
 def _candidate(p: Params, M: int, gap: int) -> tuple[Params, dict]:
-    """The candidate kappa' = M*kappa, h' = h + (M-1)*kappa*s - m, and its plan.
+    """The candidate kappa' = M*kappa, h' = h + (M-1)*kappa*s - m; plan {"M", "m"}.
 
     kappa*s is p.kappa_s, and m is the gap vector of gap.  The last m
     entry absorbs a remainder so that the sum-zero renormalization shift
-    is itself an integer.  M = 1 keeps kappa, and so its mode, fixed; the
-    plan then records M as None and a kappa_shift of 0 (None otherwise).
+    is itself an integer.  M = 1 keeps kappa, and so its mode, fixed; only
+    formal mode takes it, as the rational schedule has t >= 1.
     """
     m = _gap_vector(p.ell, gap)
     shift = [(M - 1) * entry - m[i] for i, entry in enumerate(p.kappa_s)]
@@ -176,7 +177,7 @@ def _candidate(p: Params, M: int, gap: int) -> tuple[Params, dict]:
     mode = p.mode if M == 1 else KappaMode.rational(M * p.mode.value)
     h = (entry + delta for entry, delta in zip(p.h, shift))
     p2 = Params(mode, tuple(mode.scalar(value.a, value.b) for value in h))
-    return p2, {"M": None if M == 1 else M, "m": m, "kappa_shift": 0 if M == 1 else None}
+    return p2, {"M": M, "m": m}
 
 
 def deform_rational(

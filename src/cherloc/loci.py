@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, product
 
 from .boxorder import Params
 from .scalars import KappaMode, ParamScalar
@@ -75,8 +75,8 @@ def genericity_witness(
     """First violated genericity condition, or None when theta is generic.
 
     The witness is {"kind": "sum"} or {"kind": "difference", "i", "j", "m"}.
-    Checks sum(theta) != 0, then theta_i - theta_j != m*sum(theta) for all
-    distinct i, j in the index range and |m| < n, solving for the one m.
+    Checks sum(theta) != 0, then theta_i - theta_j != m*sum(theta), solving
+    for m, over |m| < n and i < j in the index range: (j, i) fails with -m.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -84,7 +84,7 @@ def genericity_witness(
     if total.is_zero:
         return {"kind": "sum"}
     start = 1 if index_mode is IndexMode.LITERAL else 0
-    for i, j in permutations(range(start, stability.ell), 2):
+    for i, j in combinations(range(start, stability.ell), 2):
         diff = stability.theta[i] - stability.theta[j]
         m = diff.b / total.b if total.b else diff.a / total.a
         if m.denominator == 1 and abs(m) < n and diff == total * m:

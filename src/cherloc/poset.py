@@ -246,15 +246,15 @@ def _closure(rows: list[int]) -> tuple[list[int], list[int]]:
     return reach, components
 
 
-def _shortest_cycle(rows: list[int], start: int, within: int) -> tuple[int, ...] | None:
+def _shortest_cycle(rows: list[int], start: int, within: int) -> tuple[int, ...]:
     """A shortest strict cycle through start, searched inside the bit row within.
 
     Breadth-first: nodes are expanded in discovery order and successors
     taken lowest index first; the cycle closes at the first node other than
     start, in that order, with an edge back to start, and follows the parent
     links to it.  Every node and parent link of a cycle through start lies in
-    start's strongly connected component, so with within that component the
-    search returns the cycle an unrestricted search would.
+    start's strongly connected component; within is that component, of two or
+    more members, so the search closes the cycle an unrestricted one would.
     """
     start_bit = 1 << start
     parent = {start: start}
@@ -271,7 +271,6 @@ def _shortest_cycle(rows: list[int], start: int, within: int) -> tuple[int, ...]
             parent[dst] = node
             queue.append(dst)
         seen |= row
-    return None
 
 
 def transitive_closure(rel: Relation) -> Relation:
@@ -294,7 +293,7 @@ def is_partial_order(rel: Relation) -> tuple[str, tuple] | None:
         if not row >> a & 1:
             return "reflexivity", (labels[a],)
     for a, row in enumerate(rows):
-        for b in _bits(row & ~(1 << a)):
+        for b in _bits(row & -(2 << a)):
             if rows[b] >> a & 1:
                 return "antisymmetry", (labels[a], labels[b])
     for a, row in enumerate(rows):
@@ -332,7 +331,7 @@ def common_refinement(r1: Relation, r2: Relation) -> RefinementResult:
     best = None
     for start, within in starts:
         cycle = _shortest_cycle(union, start, within)
-        if cycle is not None and (best is None or len(cycle) < len(best)):
+        if best is None or len(cycle) < len(best):
             best = cycle
             if len(best) == 2:
                 break  # no strict cycle is shorter

@@ -125,7 +125,7 @@ def test_localize_pinned_instance(capsys):
     code, out, _ = run_cli(capsys, "localize", "--ell", "1", "--n", "2", "--kappa", "1/2")
     assert code == 0
     blob = json.loads(out)
-    assert blob["plan"] == {"m": [0], "M": 3, "kappa_shift": None}
+    assert blob["plan"] == {"m": [0], "M": 3}
     assert blob["p_prime"]["kappa"] == "3/2"
     assert blob["theta"]["theta"] == [{"a": "-3/2"}]
     assert [c["passed"] for c in blob["checks"]] == [True, True, True, True, None]

@@ -16,6 +16,7 @@ from cherloc import (
     Params,
     box_equiv,
     box_less,
+    content_table,
     deform_formal,
     deform_rational,
     index_classes,
@@ -33,7 +34,7 @@ FORMAL = KappaMode.formal()
 
 def test_pinned_instance_certificate():
     cert = localize(Params.build(HALF, [0]), 2)
-    assert cert.plan == {"M": 3, "m": [0], "kappa_shift": None}
+    assert cert.plan == {"M": 3, "m": [0]}
     assert cert.p_prime.kappa.a == Fraction(3, 2)
     assert [s.a for s in cert.p_prime.h] == [0]
     assert [(t.a, t.b) for t in cert.theta.theta] == [(Fraction(-3, 2), 0)]
@@ -53,14 +54,14 @@ def test_pinned_instance_certificate():
 
 def test_integer_kappa_takes_the_first_multiplier():
     p2, plan = deform_rational(Params.build(KappaMode.rational(1), [0]), 2)
-    assert plan == {"M": 2, "m": [0], "kappa_shift": None}
+    assert plan == {"M": 2, "m": [0]}
     assert p2.kappa.a == 2
 
 
 def test_formal_example_plan_and_parameters():
     p = Params.build(FORMAL, [Fraction(1, 4), Fraction(-1, 4)])
     cert = localize(p, 2)
-    assert cert.plan == {"M": None, "m": [0, 2], "kappa_shift": 0}
+    assert cert.plan == {"M": 1, "m": [0, 2]}
     assert [(s.a, s.b) for s in cert.p_prime.h] == [
         (Fraction(5, 4), 0),
         (Fraction(-5, 4), 0),
@@ -77,7 +78,7 @@ def test_tight_instance_widens_the_last_gap():
         KappaMode.rational(1), [Fraction(1, 8), 0, 0, Fraction(-1, 8)]
     )
     p2, plan = deform_rational(p, 2)
-    assert plan == {"M": 9, "m": [0, 1, 3, 8], "kappa_shift": None}
+    assert plan == {"M": 9, "m": [0, 1, 3, 8]}
     assert [s.a for s in p2.h] == [Fraction(9, 8), 1, 1, Fraction(-25, 8)]
     assert p2.kappa.a == 9
     assert verify_preservation(p, p2, 2) is None
@@ -121,7 +122,7 @@ def test_search_reports_a_genericity_failure_by_its_witness():
     with pytest.raises(DeformationError) as info:
         deform_rational(p, 2, IndexMode.INCLUDE_ZERO, retry_bound=2)
     assert info.value.diagnostics["last"] == {
-        "plan": {"M": 5, "m": [0, 2], "kappa_shift": None},
+        "plan": {"M": 5, "m": [0, 2]},
         "failure": {
             "check": "theta_generic",
             "witness": {"kind": "difference", "i": 0, "j": 1, "m": 0},
@@ -281,7 +282,7 @@ def rational_candidates_oracle(p, retry_bound):
             KappaMode.rational(M * kappa),
             [p.h[i].a + delta[i] for i in range(p.ell)],
         )
-        yield p2, {"M": M, "m": m, "kappa_shift": None}
+        yield p2, {"M": M, "m": m}
 
 
 def formal_candidates_oracle(p, retry_bound):
@@ -290,7 +291,7 @@ def formal_candidates_oracle(p, retry_bound):
         m = _gap_vector(p.ell, gap)
         m[-1] += (-sum(m)) % p.ell
         p2 = Params(p.mode, tuple(p.h[i] - m[i] for i in range(p.ell)))
-        yield p2, {"M": None, "m": m, "kappa_shift": 0}
+        yield p2, {"M": 1, "m": m}
 
 
 def fed_candidates(p, count):
@@ -409,6 +410,26 @@ def test_preservation_from_tables_agrees_with_the_pairwise_oracle(case):
     assert verify_preservation(p, p2, n) == verify_preservation_pairwise(p, p2, n)
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=preservation_cases())
+def test_pair_outcomes_depend_only_on_components_and_diagonal_difference(case):
+    # The lemma behind the row-1/column-1 walk: whether two boxes share a class,
+    # and whether the first has the smaller content, is a function of
+    # (i1, i2, d1 - d2); so every violation lies in row 1 or column 1.
+    p, p2, n = case
+    for q in (p, p2):
+        outcomes = {}
+        table = content_table(q, n).items()
+        for b1, (class1, content1) in table:
+            for b2, (class2, content2) in table:
+                key = (b1.i, b2.i, (b1.y - b1.x) - (b2.y - b2.x))
+                outcome = (class1 == class2, content1 < content2)
+                assert outcomes.setdefault(key, outcome) == outcome
+    violation = verify_preservation(p, p2, n)
+    if violation is not None:
+        assert 1 in violation["b1"][:2] and 1 in violation["b2"][:2]
+
+
 def test_preservation_is_reflexive():
     p = Params.build(HALF, [Fraction(1, 4), Fraction(-1, 4)])
     assert verify_preservation(p, p, 3) is None
@@ -425,10 +446,15 @@ def test_preservation_refuses_an_empty_grid():
 @given(p=deform_params(max_ell=4))
 def test_every_candidate_plan_is_well_formed(p):
     # _candidate is the only producer of plans, over both schedules.
-    for _, plan in fed_candidates(p, RETRY_BOUND):
-        assert sorted(plan) == ["M", "kappa_shift", "m"]
+    for p2, plan in fed_candidates(p, RETRY_BOUND):
+        assert sorted(plan) == ["M", "m"]
         assert all(a < b for a, b in zip(plan["m"], plan["m"][1:]))
-        assert (plan["kappa_shift"] == 0) == (plan["M"] is None)
+        # kappa' = M*kappa; M = 1, which keeps the mode, exactly in formal mode.
+        assert (plan["M"] == 1) == (not p.mode.is_rational)
+        if p.mode.is_rational:
+            assert p2.mode == KappaMode.rational(plan["M"] * p.mode.value)
+        else:
+            assert p2.mode == p.mode
 
 
 def test_certificate_rejects_failed_checks():

@@ -162,6 +162,14 @@ def _localize_cases():
         ["localize", "--ell", "4", "--n", "2", "--kappa", "formal", "--h=0,0,1/2,1/2"],
         ["localize", "--ell", "1", "--n", "2", "--kappa", "0"],
         ["localize", "--ell", "2", "--n", "0", "--kappa", "1/2"],
+        # Preservation witnesses away from box (1, 1): b1 = (2,1,0) with b2 = (1,5,2),
+        # b1 = (1,2,0) with b2 = (2,1,2), and b2 = (1,2,1).
+        ["localize", "--ell", "3", "--n", "5", "--kappa", "1/3", "--h=2/3,-1/3,-1/3",
+         "--retry-bound", "1"],
+        ["localize", "--ell", "3", "--n", "2", "--kappa", "1/2", "--h=0,1/4,2/3",
+         "--retry-bound", "2"],
+        ["localize", "--ell", "2", "--n", "2", "--kappa", "formal", "--h=k,1/2",
+         "--retry-bound", "2"],
     ]
     return cases
 

@@ -5,6 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
+import test_golden
 from cherloc.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -49,3 +50,8 @@ def test_readme_commands_exit_and_print_as_documented(capsys, tmp_path, monkeypa
 def test_readme_library_example_runs():
     (example,) = blocks("python")
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_readme_states_the_golden_count():
+    (count,) = re.findall(r"pins the SHA-256 of (\d+) CLI runs", README)
+    assert int(count) == len(test_golden.CASES)
