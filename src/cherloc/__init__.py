@@ -13,7 +13,6 @@ from .combinatorics import (
     Multipartition,
     boxes,
     enumerate_multipartitions,
-    relevant_boxes,
 )
 from .deform import (
     ASSUMED_LEMMAS,
@@ -97,7 +96,6 @@ __all__ = [
     "reflexive_closure",
     "refines",
     "relation_p",
-    "relevant_boxes",
     "theta_of_p",
     "to_dot",
     "transitive_closure",

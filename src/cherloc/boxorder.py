@@ -7,10 +7,11 @@ comparable only when their contents differ by an integer plus
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 
-from .combinatorics import Box, relevant_boxes
+from .combinatorics import Box
 from .scalars import KappaMode, ParamScalar, RationalLike
 
 
@@ -116,8 +117,12 @@ def content_class_key(p: Params, box: Box):
     return (shifted.b, shifted.a % 1)
 
 
-def content_table(p: Params, n: int) -> dict[Box, tuple[int, int]]:
-    """The contents of relevant_boxes(ell, n), compiled to exact integers; {} for n = 0.
+def content_table(p: Params, boxes: Iterable[Box]) -> dict[Box, tuple[int, int]]:
+    """The contents of the given boxes, compiled to exact integers.
+
+    The table is keyed in the order the boxes are given; a repeated box
+    keeps its first position.  A box whose component lies outside
+    0..ell-1 raises ValueError.
 
     Every content is scaled by one common denominator D = lcm(ell, the
     denominator of kappa, the denominators of the h_i), so D*a is an
@@ -142,7 +147,9 @@ def content_table(p: Params, n: int) -> dict[Box, tuple[int, int]]:
     kappa_base = [int(entry.b * E) for entry in p.h]
     kappa_slope = int(kappa.b * E)
     entries = {}
-    for box in relevant_boxes(p.ell, n) if n else ():
+    for box in boxes:
+        if not 0 <= box.i < p.ell:
+            raise ValueError("box component outside 0..ell-1")
         diagonal = box.y - box.x
         content = base[box.i] + slope * diagonal
         kappa_part = kappa_base[box.i] + kappa_slope * diagonal

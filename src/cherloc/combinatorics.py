@@ -78,18 +78,3 @@ def boxes(mp: Multipartition) -> list[Box]:
         for x, row_length in enumerate(component, start=1):
             out.extend(Box(x, y, i) for y in range(1, row_length + 1))
     return out
-
-
-def relevant_boxes(ell: int, n: int) -> list[Box]:
-    """The full n-by-n coordinate grid in each component.
-
-    Contains boxes(mp) for every ell-multipartition mp of at most n.
-    """
-    if ell < 1 or n < 1:
-        raise ValueError("need ell >= 1 and n >= 1")
-    return [
-        Box(x, y, i)
-        for i in range(ell)
-        for x in range(1, n + 1)
-        for y in range(1, n + 1)
-    ]

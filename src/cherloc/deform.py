@@ -1,8 +1,8 @@
 """Parameter deformation with machine-checked certificates.
 
 Given parameters p and a size n, produce deformed parameters p' that
-differ from p by integers, induce the same box order on the relevant
-coordinate grid, and whose attached stability vector is generic.  The
+differ from p by integers, induce the same box order on the n-by-n grid
+of each component, and whose attached stability vector is generic.  The
 construction follows a fixed candidate schedule and every candidate is
 verified outright, so correctness never rests on an asymptotic
 "sufficiently large" argument.  A successful run returns a Certificate;
@@ -16,6 +16,7 @@ from itertools import count, islice
 from math import lcm
 
 from .boxorder import Params, content_table
+from .combinatorics import Box
 from .loci import (
     IndexMode,
     Stability,
@@ -60,22 +61,25 @@ def index_classes(p: Params) -> list[list[int]]:
 
 
 def verify_preservation(p: Params, p2: Params, n: int) -> dict | None:
-    """Check that p and p2 induce the same box order on the full grid.
+    """Check that p and p2 induce the same box order on the n-by-n grid.
 
-    Reads both orders off the content_table of each: two boxes are
-    equivalent when their class ids agree, and b1 < b2 when besides
-    b1 has the smaller integer content.  Both depend only on (i1, i2,
-    d1 - d2), d = y - x, and the box of each (component, diagonal) in row 1
-    or column 1 comes first in relevant_boxes order; so the pairs of those
-    boxes, b1 outer, equivalence first, hold the first disagreement of the
-    grid, returned as {"b1", "b2", "predicate", "before", "after"}, or None.
+    Two boxes are equivalent when their content_table class ids agree,
+    and b1 < b2 when besides b1 has the smaller integer content.  Both
+    depend only on (i1, i2, d1 - d2), d = y - x, and the box of each
+    (component, diagonal) in row 1 or column 1 comes first in grid order
+    (i, then x, then y); so only those boxes are compiled, and their
+    pairs, b1 outer, equivalence first, hold the first disagreement of
+    the grid, returned as {"b1", "b2", "predicate", "before", "after"},
+    or None.
     """
     if p.ell != p2.ell:
         raise ValueError("parameter vectors have different lengths")
     if n < 1:
         raise ValueError("need n >= 1")
-    old, new = content_table(p, n), content_table(p2, n)
-    grid = [(box, *old[box], *new[box]) for box in old if 1 in (box.x, box.y)]
+    edge = [Box(x, y, i) for i in range(p.ell) for x in range(1, n + 1)
+            for y in (range(1, n + 1) if x == 1 else (1,))]
+    old, new = content_table(p, edge), content_table(p2, edge)
+    grid = [(box, *old[box], *new[box]) for box in edge]
     for b1, old_class1, old_content1, new_class1, new_content1 in grid:
         for b2, old_class2, old_content2, new_class2, new_content2 in grid:
             before, after = old_class1 == old_class2, new_class1 == new_class2

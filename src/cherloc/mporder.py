@@ -27,8 +27,11 @@ class OrderInstance:
             raise ValueError("need n >= 0")
         self.p, self.n = p, n
         self.labels = tuple(enumerate_multipartitions(p.ell, n))
-        entries = content_table(p, n)
-        box_ids = {box: k for k, box in enumerate(entries)}
+        # Box ids number the boxes the labels hold, in the order they first occur.
+        box_ids = {}
+        label_ids = [[box_ids.setdefault(box, len(box_ids)) for box in boxes(mp)]
+                     for mp in self.labels]
+        entries = content_table(p, box_ids)
         contents = [content for _, content in entries.values()]
         low = min(contents, default=0)
         span = max(contents, default=0) - low + 1
@@ -37,8 +40,7 @@ class OrderInstance:
         self._keys = [cid * span + content - low for cid, content in entries.values()]
         # label -> (its box ids, the sorted class ids of its boxes)
         self._compiled: dict[Multipartition, tuple[frozenset[int], tuple]] = {}
-        for mp in self.labels:
-            ids = [box_ids[box] for box in boxes(mp)]
+        for mp, ids in zip(self.labels, label_ids):
             self._compiled[mp] = frozenset(ids), tuple(sorted(self._keys[k] // span for k in ids))
 
     def _compiled_label(self, mp: Multipartition) -> tuple[frozenset[int], tuple]:

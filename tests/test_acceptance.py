@@ -36,7 +36,6 @@ from cherloc import (
     localize,
     refines,
     relation_p,
-    relevant_boxes,
     theta_of_p,
     transitive_closure,
 )
@@ -56,6 +55,12 @@ H_BY_ELL = {
     2: [(0, 0), (Fraction(1, 4), Fraction(-1, 4))],
     3: [(Fraction(1, 3), 0, Fraction(-1, 3))],
 }
+
+
+def box_grid(ell: int, n: int) -> list[Box]:
+    """The n-by-n grid of boxes of each component, ordered by (i, x, y):
+    the boxes the box order is specified on."""
+    return [Box(x, y, i) for i in range(ell) for x in range(1, n + 1) for y in range(1, n + 1)]
 
 
 def parameter_suite() -> list[Params]:
@@ -145,7 +150,7 @@ def test_criterion_3_shift_and_translation_invariance():
             shifted = Params.build(p.mode, [s.a + t for s in p.h])
             assert relation_p(OrderInstance(shifted, 3)) == base
     p = sample[0]
-    boxes = relevant_boxes(p.ell, 3)
+    boxes = box_grid(p.ell, 3)
     for k in (1, 2, 5):
         for b1, b2 in itertools.product(boxes, repeat=2):
             moved1 = Box(b1.x + k, b1.y + k, b1.i)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -14,8 +15,8 @@ from cherloc import (
     cont,
     content_class_key,
     content_table,
-    relevant_boxes,
 )
+from test_acceptance import box_grid
 
 HALF = KappaMode.rational(Fraction(1, 2))
 FORMAL = KappaMode.formal()
@@ -89,7 +90,7 @@ def test_equiv_across_components_uses_index_offset():
 
 def test_equivalence_relation_properties():
     for p in sample_params():
-        grid = relevant_boxes(p.ell, 3)
+        grid = box_grid(p.ell, 3)
         for a in grid:
             assert box_equiv(p, a, a)
             for b in grid:
@@ -105,7 +106,7 @@ def test_equivalence_relation_properties():
 
 def test_strict_order_properties():
     for p in sample_params():
-        grid = relevant_boxes(p.ell, 3)
+        grid = box_grid(p.ell, 3)
         for a in grid:
             assert not box_less(p, a, a)
             for b in grid:
@@ -119,7 +120,7 @@ def test_strict_order_properties():
 
 def test_translation_invariance_of_predicates():
     for p in sample_params():
-        grid = relevant_boxes(p.ell, 2)
+        grid = box_grid(p.ell, 2)
         for k in (1, 2, 5):
             for a in grid:
                 for b in grid:
@@ -139,8 +140,8 @@ def table_params():
 
 def test_content_table_agrees_with_the_box_predicates():
     for p in table_params():
-        table = content_table(p, 3)
-        grid = relevant_boxes(p.ell, 3)
+        grid = box_grid(p.ell, 3)
+        table = content_table(p, grid)
         assert list(table) == grid
         D = lcm(p.ell, p.kappa.a.denominator, *(entry.a.denominator for entry in p.h))
         for a in grid:
@@ -160,7 +161,7 @@ def test_content_table_ties_stay_inside_one_component():
     # Equal content inside one class forces the same component, so no
     # tie between components needs breaking.
     for p in table_params():
-        entries = content_table(p, 3)
+        entries = content_table(p, box_grid(p.ell, 3))
         for a in entries:
             for b in entries:
                 if entries[a] == entries[b]:
@@ -170,13 +171,33 @@ def test_content_table_ties_stay_inside_one_component():
 def test_content_table_denominator_and_empty_grid():
     p = Params.build(KappaMode.rational(Fraction(2, 3)), [Fraction(1, 4), Fraction(-1, 4)])
     # D = lcm(2, 3, 4) = 12, so h_0 = 1/4 scales to 3.
-    assert content_table(p, 2)[Box(1, 1, 0)][1] == 3
-    assert content_table(p, 0) == {}
+    assert content_table(p, [Box(1, 1, 0)])[Box(1, 1, 0)][1] == 3
+    assert content_table(p, []) == {}
+
+
+def test_content_table_compiles_the_boxes_it_is_given():
+    rng = random.Random(23)
+    for p in table_params():
+        grid = box_grid(p.ell, 4)
+        whole = content_table(p, grid)
+        given = rng.sample(grid, len(grid) // 3)
+        given += rng.sample(given, 5)  # repeats keep their first position
+        rng.shuffle(given)
+        table = content_table(p, given)
+        assert list(table) == list(dict.fromkeys(given))
+        assert table == {box: whole[box] for box in given}
+
+
+def test_content_table_refuses_a_component_outside_ell():
+    for p in table_params():
+        for i in (-1, p.ell):
+            with pytest.raises(ValueError):
+                content_table(p, [Box(1, 1, 0), Box(1, 1, i)])
 
 
 def test_content_class_key_matches_equivalence():
     for p in sample_params():
-        grid = relevant_boxes(p.ell, 3)
+        grid = box_grid(p.ell, 3)
         for a in grid:
             for b in grid:
                 assert (content_class_key(p, a) == content_class_key(p, b)) == box_equiv(

@@ -1,6 +1,6 @@
 import pytest
 
-from cherloc import Box, Multipartition, boxes, enumerate_multipartitions, relevant_boxes
+from cherloc import Box, Multipartition, boxes, enumerate_multipartitions
 
 
 def count_oracle(ell: int, n: int) -> int:
@@ -84,13 +84,11 @@ def test_boxes_order_and_content_coordinates():
     ]
 
 
-def test_relevant_boxes_examples():
-    assert relevant_boxes(2, 1) == [Box(1, 1, 0), Box(1, 1, 1)]
-    assert len(relevant_boxes(1, 2)) == 4
-
-
-def test_boxes_contained_in_relevant_grid():
-    for ell, n in [(1, 4), (2, 3), (3, 2)]:
-        grid = set(relevant_boxes(ell, n))
-        for mp in enumerate_multipartitions(ell, n):
-            assert set(boxes(mp)) <= grid
+def test_labels_hold_exactly_the_boxes_with_x_times_y_at_most_n():
+    # A partition of n holds (x, y) exactly when x*y <= n: the box set
+    # OrderInstance compiles, well inside the n-by-n grid.
+    for ell in (1, 2, 3):
+        for n in range(7):
+            held = {box for mp in enumerate_multipartitions(ell, n) for box in boxes(mp)}
+            assert held == {Box(x, y, i) for i in range(ell) for x in range(1, n + 1)
+                            for y in range(1, n // x + 1)}

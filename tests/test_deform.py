@@ -21,12 +21,12 @@ from cherloc import (
     deform_rational,
     index_classes,
     localize,
-    relevant_boxes,
     theta_of_p,
     verify_preservation,
 )
 from cherloc import deform
 from cherloc.deform import RETRY_BOUND, _gap_vector, _rational_schedule, required_checks
+from test_acceptance import box_grid
 
 HALF = KappaMode.rational(Fraction(1, 2))
 FORMAL = KappaMode.formal()
@@ -335,7 +335,7 @@ def verify_preservation_pairwise(p, p2, n):
     Same walk as verify_preservation: b1 outer, b2 inner, equivalence
     tested before order; returns the first disagreement, or None.
     """
-    grid = relevant_boxes(p.ell, n)
+    grid = box_grid(p.ell, n)
     for b1 in grid:
         for b2 in grid:
             before, after = box_equiv(p, b1, b2), box_equiv(p2, b1, b2)
@@ -419,7 +419,7 @@ def test_pair_outcomes_depend_only_on_components_and_diagonal_difference(case):
     p, p2, n = case
     for q in (p, p2):
         outcomes = {}
-        table = content_table(q, n).items()
+        table = content_table(q, box_grid(q.ell, n)).items()
         for b1, (class1, content1) in table:
             for b2, (class2, content2) in table:
                 key = (b1.i, b2.i, (b1.y - b1.x) - (b2.y - b2.x))
@@ -433,6 +433,26 @@ def test_pair_outcomes_depend_only_on_components_and_diagonal_difference(case):
 def test_preservation_is_reflexive():
     p = Params.build(HALF, [Fraction(1, 4), Fraction(-1, 4)])
     assert verify_preservation(p, p, 3) is None
+
+
+def test_preservation_compiles_only_row_1_and_column_1(monkeypatch):
+    p = Params.build(HALF, [Fraction(1, 7), Fraction(2, 7), Fraction(3, 7), 0])
+    p2, _ = deform._candidate(p, 15, 1)
+    expected = {n: verify_preservation(p, p2, n) for n in (1, 3, 8)}
+    compiled = []
+
+    def recording_table(q, boxes):
+        boxes = list(boxes)
+        compiled.append((q, boxes))
+        return content_table(q, boxes)
+
+    monkeypatch.setattr(deform, "content_table", recording_table)
+    for n, violation in expected.items():
+        compiled.clear()
+        assert verify_preservation(p, p2, n) == violation
+        edge = [box for box in box_grid(p.ell, n) if 1 in (box.x, box.y)]
+        assert len(edge) == p.ell * (2 * n - 1)
+        assert compiled == [(p, edge), (p2, edge)]
 
 
 def test_preservation_refuses_an_empty_grid():

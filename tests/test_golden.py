@@ -151,6 +151,9 @@ def _localize_cases():
                       "--h=1/4,-1/4", "--index-mode", "include-zero", "--retry-bound", bound])
     cases += [
         ["localize", "--ell", "2", "--n", "8", "--kappa", "formal", "--h=-1/4,1/4"],
+        # Blocked after all 64 candidates, on a grid twice that size.
+        ["localize", "--ell", "2", "--n", "16", "--kappa", "formal", "--h=-1/4,1/4",
+         "--max-n", "16"],
         ["localize", "--ell", "3", "--n", "3", "--kappa", "formal", "--h=0,0,1/3"],
         ["localize", "--ell", "3", "--n", "2", "--kappa", "formal", "--h=0,1/3+k,k"],
         ["localize", "--ell", "3", "--n", "2", "--kappa", "formal", "--h=0,0,0",
@@ -195,6 +198,9 @@ def _cases():
         ["order", "--ell", "2", "--n", "2", "--kappa", "1/2", "--dot", "order.dot"],
         ["order", "--ell", "3", "--n", "2", "--kappa", "formal", "--h=0,1/3,2/3",
          "--dot", "order.dot"],
+        # The size-guard corner, and components that share classes with kappa parts.
+        ["order", "--ell", "4", "--n", "8", "--kappa", "1/2", "--out", "corner.json"],
+        ["order", "--ell", "3", "--n", "6", "--kappa", "formal", "--h=0,1/3,2/3"],
     ]
     for ell, n, kappa, h in [
         ("1", "2", "1/2", None), ("1", "3", "-1", None), ("2", "3", "formal", "-1/4,1/4"),

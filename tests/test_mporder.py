@@ -13,11 +13,13 @@ from cherloc import (
     box_less,
     boxes,
     content_class_key,
+    content_table,
     is_partial_order,
     leq_p,
     relation_p,
     transitive_closure,
 )
+from cherloc import mporder
 from test_acceptance import leq_p_oracle
 
 HALF = KappaMode.rational(Fraction(1, 2))
@@ -71,6 +73,24 @@ def test_size_zero_is_a_single_true_cell():
     inst = OrderInstance(Params.build(HALF, [0]), 0)
     rel = relation_p(inst)
     assert rel.matrix == ((True,),)
+
+
+def test_instance_compiles_each_held_box_once(monkeypatch):
+    compiled = []
+
+    def recording_table(p, boxes):
+        boxes = list(boxes)
+        compiled.append(boxes)
+        return content_table(p, boxes)
+
+    monkeypatch.setattr(mporder, "content_table", recording_table)
+    for p in (Params.build(HALF, [0]), Params.build(FORMAL, [0, Fraction(1, 3), Fraction(2, 3)])):
+        for n in range(5):
+            compiled.clear()
+            inst = OrderInstance(p, n)
+            (passed,) = compiled
+            assert len(passed) == len(set(passed))
+            assert set(passed) == {box for mp in inst.labels for box in boxes(mp)}
 
 
 def test_wrong_shape_inputs_rejected():
