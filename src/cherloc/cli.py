@@ -10,6 +10,7 @@ strings, so identical runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from collections import namedtuple
@@ -32,11 +33,15 @@ MAX_ELL_DEFAULT = 4
 MAX_N_DEFAULT = 8
 
 
-def canonical_dumps(payload: dict | Relation) -> str:
-    """The canonical JSON text of an artifact; a Relation writes its own."""
+def canonical_dumps(payload: dict | Relation, handle=None) -> str | None:
+    """The canonical JSON text of an artifact, or None once it is written to
+    the text stream handle; a Relation writes its own, row by row."""
+    out = io.StringIO() if handle is None else handle
     if isinstance(payload, Relation):
-        return payload.dumps()
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        payload.dump(out)
+    else:
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return out.getvalue() if handle is None else None
 
 
 def _read_json(path: str):
@@ -46,16 +51,13 @@ def _read_json(path: str):
 
 
 def _read_relation(path: str) -> Relation:
+    """The relation a file holds, read from its handle.  A pipe cannot seek
+    back for the full parse, so its bytes are read whole first and decoded as
+    the file's handle decodes them; io.StringIO would hold 4 bytes a character."""
     with open(path, encoding="utf-8") as handle:
-        return Relation.loads(handle.read())
-
-
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if not handle.seekable():
+            handle = io.TextIOWrapper(io.BytesIO(handle.buffer.read()), encoding="utf-8")
+        return Relation.load(handle)
 
 
 def _length(source, key: str) -> int | None:
@@ -82,7 +84,8 @@ def _run_enumerate(job: argparse.Namespace) -> tuple[dict, int]:
 def _run_order(job: argparse.Namespace) -> tuple[Relation, int]:
     rel = relation_p(OrderInstance(job.params, job.n))
     if job.dot is not None:
-        _emit(to_dot(rel), job.dot)
+        with open(job.dot, "w", encoding="utf-8") as handle:
+            handle.write(to_dot(rel))
     return rel, 0
 
 
@@ -176,7 +179,11 @@ def run(job: argparse.Namespace) -> int:
     if job.command == "common-refinement" and len(job.inputs) != 2:
         raise ValueError("common-refinement needs two relation files")
     artifact, code = command.handler(job)
-    _emit(canonical_dumps(artifact), job.out)
+    if job.out is None:
+        canonical_dumps(artifact, sys.stdout)
+    else:
+        with open(job.out, "w", encoding="utf-8") as handle:
+            canonical_dumps(artifact, handle)
     return code
 
 

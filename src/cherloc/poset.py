@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from collections import namedtuple
 from collections.abc import Hashable
@@ -49,49 +50,63 @@ class Relation:
         texts = [*map(_label_text, self.labels)]
         return bool(self.rows[texts.index(_label_text(a))] >> texts.index(_label_text(b)) & 1)
 
-    def dumps(self) -> str:
-        """The canonical JSON text of labels and matrix.
+    def dump(self, handle) -> None:
+        """Write the canonical JSON text of labels and matrix to a text stream.
 
         Each row is the row template with the row's reversed bit string
-        written over its entries by one stride-9 slice assignment.
+        written over its entries by one stride-9 slice assignment; the rows
+        are written one at a time.
         """
         k = self.size
         head = json.dumps({"labels": self.labels}, indent=2, sort_keys=True)[:-2]
         if not k:
-            return head + ',\n  "matrix": []\n}\n'
-        buffer, spec, rows = bytearray(_row_template(k).encode()), f"0{k}b", []
+            handle.write(head + ',\n  "matrix": []\n}\n')
+            return
+        handle.write(head + _MATRIX)
+        buffer, spec, separator = bytearray(_row_template(k).encode()), f"0{k}b", ""
         for row in self.rows:
             buffer[12::9] = format(row, spec)[::-1].encode()
-            rows.append(buffer.decode())
-        rows[0] = head + _MATRIX + rows[0]
-        rows[-1] += _TAIL
-        return ",\n".join(rows)
+            handle.write(separator)
+            handle.write(buffer.decode())
+            separator = ",\n"
+        handle.write(_TAIL)
+
+    def dumps(self) -> str:
+        """The text dump writes."""
+        text = io.StringIO()
+        self.dump(text)
+        return text.getvalue()
+
+    @classmethod
+    def load(cls, handle) -> Relation:
+        """The relation a seekable text stream holds, read as
+        from_json(json.loads(handle.read())) reads it.
+
+        Text in the layout dump writes is read row by row.  Up to the first
+        _MATRIX marker, closed by a brace, it must parse as an object with
+        k >= 1 labels; then come k copies of the row template with some
+        entries 1, joined as dump joins them, and the tail.  A raw newline
+        cannot occur in a JSON string, so the marker lies outside every
+        string; the head parses as a whole object only when the marker is at
+        its top level; and the matrix member, coming last, overrides any
+        earlier one, as in json.loads.  Any other text, or a byte the stream
+        cannot decode, sends the stream back to its start for the full parse,
+        with its errors.
+        """
+        try:
+            laid = _laid_out(handle)
+        except UnicodeDecodeError:  # the full read names the byte's offset in the file
+            laid = None
+        if laid is None:
+            handle.seek(0)
+            return cls.from_json(json.loads(handle.read(), parse_constant=refuse_constant))
+        labels, rows = laid
+        return cls(tuple(map(_label_from_json, labels)), rows)
 
     @classmethod
     def loads(cls, text: str) -> Relation:
-        """The relation a JSON text holds, read as from_json(json.loads(text)) reads it.
-
-        Text in the layout dumps writes is read row by row.  Up to the first
-        _MATRIX marker, closed by a brace, it must parse as an object with
-        k >= 1 labels; then come k copies of the row template with some
-        entries 1, joined as dumps joins them.  A raw newline cannot occur
-        in a JSON string, so the marker lies outside every string; the head
-        parses as a whole object only when the marker is at its top level;
-        and the matrix member, coming last, overrides any earlier one, as in
-        json.loads.  Any other text takes the full parse, with its errors.
-        """
-        cut, rows = text.find(_MATRIX), None
-        if cut > 0:
-            try:
-                head = json.loads(text[:cut] + "\n}", parse_constant=refuse_constant)
-            except ValueError:
-                head = None
-            labels = head.get("labels") if isinstance(head, dict) else None
-            if isinstance(labels, list) and labels:
-                rows = _template_rows(text, cut + len(_MATRIX), len(labels))
-        if rows is None:
-            return cls.from_json(json.loads(text, parse_constant=refuse_constant))
-        return cls(tuple(map(_label_from_json, labels)), rows)
+        """The relation a JSON text holds, read by load."""
+        return cls.load(io.StringIO(text))
 
     def to_json(self) -> dict:
         return json.loads(self.dumps())
@@ -119,6 +134,7 @@ _DIGIT = bytes.maketrans(b"\0\1", b"01")
 # The text between the labels and the rows in dumps' layout, and after the rows.
 _MATRIX = ',\n  "matrix": [\n'
 _TAIL = "\n  ]\n}\n"
+_CHUNK = 1 << 16  # characters read at a time while looking for _MATRIX
 
 
 def refuse_constant(token: str):
@@ -131,22 +147,38 @@ def _row_template(k: int) -> str:
     return "    [\n      " + "0,\n      " * (k - 1) + "0\n    ]"
 
 
-def _template_rows(text: str, at: int, k: int) -> list[int] | None:
-    """The k bit rows of dumps' layout from offset at of text to its end, or
-    None when the text there is not that layout."""
-    template = _row_template(k)
-    width = len(template)
-    end = at + k * (width + 2) - 2  # where the last row ends
-    if text[end:] != _TAIL:
-        return None
-    rows = []
-    for start in range(at, end, width + 2):
-        row = text[start:start + width]
-        if row.replace("1", "0") != template or not (
-                start + width == end or text.startswith(",\n", start + width)):
+def _laid_out(handle) -> tuple[list, list[int]] | None:
+    """The labels and bit rows of a text stream in dump's layout, read to its
+    end, or None from where the stream leaves that layout.
+
+    The stream is read in chunks up to the first _MATRIX marker, keeping
+    enough of each chunk to find a marker that straddles two; from there it
+    is read one row at a time.
+    """
+    before, window = io.StringIO(), ""
+    while (at := window.find(_MATRIX)) < 0:
+        chunk = handle.read(_CHUNK)
+        if not chunk:
             return None
-        rows.append(int(row[12::9][::-1], 2))
-    return rows
+        before.write(window[:1 - len(_MATRIX)])
+        window = window[1 - len(_MATRIX):] + chunk
+    try:
+        head = json.loads(before.getvalue() + window[:at] + "\n}", parse_constant=refuse_constant)
+    except ValueError:
+        return None
+    labels = head.get("labels") if isinstance(head, dict) else None
+    if not isinstance(labels, list) or not labels:
+        return None
+    template, rest = _row_template(len(labels)), window[at + len(_MATRIX):]
+    width, rows = len(template), []
+    for end in [",\n"] * (len(labels) - 1) + [_TAIL]:
+        size = width + len(end)
+        row, rest = rest[:size], rest[size:]
+        row += handle.read(size - len(row))
+        if row[:width].replace("1", "0") != template or row[width:] != end:
+            return None
+        rows.append(int(row[12:width:9][::-1], 2))
+    return None if rest or handle.read(1) else (labels, rows)
 
 
 def _packed(row: list) -> int:

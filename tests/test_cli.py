@@ -3,8 +3,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
+import subprocess
 import sys
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from cherloc.cli import (
     canonical_dumps,
     main,
 )
+from cherloc.combinatorics import enumerate_multipartitions
 from cherloc.deform import ORACLE_BOUND, RETRY_BOUND
 from test_poset import to_json_per_entry
 
@@ -596,6 +601,115 @@ def test_true_and_false_entries_read_as_1_and_0(capsys, tmp_path):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["matrix"] == bits
+
+
+def chain_pair(ell: int, n: int, cycle: bool) -> tuple[Relation, Relation]:
+    """Two total orders on the ell-multipartitions of n, in one shuffled ranking;
+    with cycle, the second swaps two neighbours of the first, which plants a
+    2-cycle in their union."""
+    labels = tuple(mp.parts for mp in enumerate_multipartitions(ell, n))
+    ranked = list(range(len(labels)))
+    random.Random(ell * 100 + n).shuffle(ranked)
+    orders = [ranked, ranked[:]]
+    if cycle:
+        orders[1][5], orders[1][6] = orders[1][6], orders[1][5]
+    relations = []
+    for order in orders:
+        rows, above = [0] * len(labels), 0
+        for label in reversed(order):
+            above |= 1 << label
+            rows[label] = above
+        relations.append(Relation(labels, rows))
+    return relations[0], relations[1]
+
+
+def write_relation(path, rel: Relation) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        rel.dump(handle)
+
+
+def peak_bytes(argv: list[str], stdout) -> tuple[int, int]:
+    """The exit code of main(argv), writing stdout to the given file, and the
+    peak of the memory tracemalloc traces while it runs."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cycle", [False, True])
+def test_common_refinement_holds_less_than_one_relation_file(tmp_path, cycle):
+    # Rows are read, refined and written one at a time; the whole text is never held.
+    first, second = chain_pair(4, 6, cycle)
+    assert first.size == 574
+    paths = [str(tmp_path / "first.json"), str(tmp_path / "second.json")]
+    for path, rel in zip(paths, (first, second)):
+        write_relation(path, rel)
+    with open(tmp_path / "out.json", "w", encoding="utf-8") as stdout:
+        code, peak = peak_bytes(["common-refinement", *paths], stdout)
+    assert code == (1 if cycle else 0)
+    assert peak < os.path.getsize(paths[0])
+    if not cycle:
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == first.dumps()
+
+
+def test_order_holds_less_than_the_artifact_it_writes(tmp_path):
+    out = str(tmp_path / "order.json")
+    with open(tmp_path / "stdout.txt", "w", encoding="utf-8") as stdout:
+        code, peak = peak_bytes(["order", "--ell", "4", "--n", "6", "--kappa", "1/2",
+                                 "--out", out], stdout)
+    assert code == 0
+    assert peak < os.path.getsize(out)
+
+
+def test_a_bad_byte_is_reported_at_its_offset_in_the_file(capsys, tmp_path):
+    # The row reader decodes in chunks; the message still names the file offset.
+    data = bytearray(chain_pair(4, 5, False)[0].dumps().encode())
+    assert len(data) > 200000
+    data[200000] = 0xFF
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as err:
+        bytes(data).decode("utf-8")
+    assert "position 200000" in str(err.value)
+    code, out, stderr = run_cli(capsys, "common-refinement", str(path), str(path))
+    assert (code, out, stderr) == (2, "", f"cherloc: {err.value}\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("cycle", [False, True])
+@pytest.mark.parametrize("layout", ["order", "crlf", "compact"])
+def test_a_relation_read_from_a_pipe_reads_as_from_a_file(capsys, tmp_path, cycle, layout):
+    first, second = chain_pair(4, 5, cycle)
+    path, other = tmp_path / "first.json", str(tmp_path / "second.json")
+    text = first.dumps()
+    path.write_bytes((text.replace("\n", "\r\n") if layout == "crlf" else text).encode())
+    (tmp_path / "second.json").write_text(second.dumps(), encoding="utf-8")
+    if layout == "compact":
+        subprocess.run([sys.executable, "-m", "json.tool", "--compact", str(path), str(path)],
+                       check=True)
+    data = path.read_bytes()
+    assert len(data) > 1 << 16  # more than a pipe buffer holds
+    expected = run_cli(capsys, "common-refinement", str(path), other)
+    read, write = os.pipe()
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(write, "wb") as sink:
+            sink.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        piped = run_cli(capsys, "common-refinement", f"/dev/fd/{read}", other)
+    finally:
+        os.close(read)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert piped[:2] == expected[:2]
+    assert expected[0] == (1 if cycle else 0)
 
 
 # Every label a relation file may hold: ints, finite floats, true, false and

@@ -115,6 +115,13 @@ FILES["gen-cycle-1.json"], FILES["gen-cycle-2.json"] = _generated_pair(9, 104, 4
 FILES.update({f"laid-{name}": _order_layout(FILES[name]) for name in (
     "chain.json", "antichain.json", "partial.json", "gen-cycle-1.json", "gen-cycle-2.json")})
 FILES["laid-entry-2.json"] = _order_layout(_relation([1, 2], [[1, 2], [0, 1]]))
+# laid-partial.json with CRLF newlines, which text mode reads as the layout itself;
+# then that file with a leading BOM, cut in the middle of its second row, and with
+# text after its tail: each of the last three takes the full parse and its error.
+FILES["laid-crlf.json"] = FILES["laid-partial.json"].replace("\n", "\r\n")
+FILES["laid-bom.json"] = "\ufeff" + FILES["laid-crlf.json"]
+FILES["laid-cut.json"] = FILES["laid-crlf.json"][:FILES["laid-crlf.json"].index("    ],") + 22]
+FILES["laid-extra.json"] = FILES["laid-crlf.json"] + " x"
 # A job file that holds a constant JSON does not have.
 FILES["job-nan.json"] = {"command": "enumerate", "ell": 1, "n": float("nan")}
 
@@ -252,6 +259,8 @@ def _cases():
         # An entry 2 fails the row template, so the full parse refuses it.
         ["common-refinement", "chain.json", "laid-entry-2.json"],
     ]
+    cases += [["common-refinement", name, name]
+              for name in ("laid-crlf.json", "laid-bom.json", "laid-cut.json", "laid-extra.json")]
     cases += [["job", name] for name in sorted(FILES) if name.startswith("job-")]
     # Invalid input: exit 2 with one line.
     cases += [

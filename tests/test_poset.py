@@ -1,9 +1,12 @@
 import json
+import os
 import random
+import tempfile
 from unittest import mock
 
 import pytest
 
+import cherloc.cli
 import cherloc.poset
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -391,10 +394,32 @@ def test_relation_text_reads_as_the_full_parse_reads_it(data):
         layout([], []),
         Relation((), ()).dumps(),
         text + " ",
+        text + " x",
         text[:-1],
     ]
     for case in others:
         assert outcome(Relation.loads, case) == outcome(full_parse, case)
+    # Each text as a file: the CLI reads what text mode reads, as the full parse reads it.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "relation.json")
+        for case in canonical + others:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(case)
+            with open(path, encoding="utf-8") as handle:
+                read = handle.read()
+            assert outcome(cherloc.cli._read_relation, path) == outcome(full_parse, read)
+
+
+@pytest.mark.parametrize("offset", range(-17, 3))
+def test_a_matrix_marker_across_two_read_chunks_is_found(offset):
+    # The head is read in chunks; a marker may start in one and end in the next.
+    at = cherloc.poset._CHUNK + offset
+    empty = Relation(("", "b"), [0b11, 0b10]).dumps().index(cherloc.poset._MATRIX)
+    rel = Relation(("a" * (at - empty), "b"), [0b11, 0b10])
+    text = rel.dumps()
+    assert text.index(cherloc.poset._MATRIX) == at
+    with mock.patch.object(Relation, "from_json", side_effect=AssertionError(offset)):
+        assert Relation.loads(text) == rel
 
 
 @pytest.mark.parametrize("entry", [2, 1.0, None, [1], -1, 256, "0", "1"])
