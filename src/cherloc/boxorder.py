@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .combinatorics import Box
-from .scalars import KappaMode, ParamScalar, RationalLike
+from .scalars import KappaMode, ParamScalar, RationalLike, refuse_foreign_keys
 
 
 class Params:
@@ -73,6 +73,7 @@ class Params:
     def from_json(cls, data: dict) -> Params:
         if not isinstance(data, dict) or not isinstance(data.get("h"), list):
             raise ValueError("params must be a JSON object with a list h")
+        refuse_foreign_keys(data, ("ell", "kappa", "h"), "params")
         mode = KappaMode.from_label(data["kappa"])
         h = tuple(ParamScalar.from_json(entry, mode) for entry in data["h"])
         p = cls(mode, h)

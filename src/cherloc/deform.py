@@ -127,16 +127,20 @@ def required_checks(p: Params, p2: Params, n: int, index_mode: IndexMode) -> Ite
 
 
 def _search(
-    p: Params, n: int, index_mode: IndexMode, candidates, diagnostics: dict
+    p: Params, n: int, index_mode: IndexMode, schedule, retry_bound: int, diagnostics: dict
 ) -> tuple[Params, dict]:
-    """The first (p2, plan) of candidates that passes every required check.
+    """The first (p2, plan) among the candidates of the first retry_bound
+    (M, gap) pairs of schedule that passes every required check.
 
     Raises DeformationError with diagnostics, the number of candidates
     tried and the last candidate's first failed check.
     """
+    if retry_bound < 0:
+        raise ValueError("need retry_bound >= 0")
     attempts = 0
     last: dict | None = None
-    for p2, plan in candidates:
+    for M, gap in islice(schedule, retry_bound):
+        p2, plan = _candidate(p, M, gap)
         attempts += 1
         checks = required_checks(p, p2, n, index_mode)
         failed = next((check for check in checks if not check["passed"]), None)
@@ -147,16 +151,6 @@ def _search(
         "no deformation candidate passed verification",
         {**diagnostics, "candidates_tried": attempts, "last": last},
     )
-
-
-def _rational_schedule(retry_bound: int):
-    """Diagonal sweep over (t, g): multiplier steps and m-gap scalings.
-
-    Both knobs genuinely matter: growing t rescales kappa, growing g
-    widens the m-gaps, and some parameters need gaps comparable to M.
-    """
-    sweep = ((t, total - t) for total in count(2) for t in range(1, total))
-    return islice(sweep, retry_bound)
 
 
 def _gap_vector(ell: int, gap: int) -> list[int]:
@@ -193,18 +187,17 @@ def deform_rational(
     """Deform rational-kappa parameters through candidates with M = 1 + t*D.
 
     D clears the denominators of kappa and of every kappa*s_i, so all
-    differences are integral by construction.
+    differences are integral by construction.  The schedule sweeps the
+    diagonals of (t, gap), since some parameters need gaps comparable to M.
     """
     if not p.mode.is_rational:
         raise ValueError("parameters are not in rational mode")
-    if retry_bound < 0:
-        raise ValueError("need retry_bound >= 0")
     kappa = p.mode.value
     if kappa == 0:
         raise ValueError("kappa must be nonzero")
     D = lcm(kappa.denominator, *(entry.a.denominator for entry in p.kappa_s))
-    candidates = (_candidate(p, 1 + t * D, gap) for t, gap in _rational_schedule(retry_bound))
-    return _search(p, n, index_mode, candidates, {"mode": "rational"})
+    schedule = ((1 + t * D, total - t) for total in count(2) for t in range(1, total))
+    return _search(p, n, index_mode, schedule, retry_bound, {"mode": "rational"})
 
 
 def deform_formal(
@@ -220,11 +213,9 @@ def deform_formal(
     """
     if p.mode.is_rational:
         raise ValueError("parameters are not in formal mode")
-    if retry_bound < 0:
-        raise ValueError("need retry_bound >= 0")
-    candidates = (_candidate(p, 1, gap) for gap in range(1, retry_bound + 1))
+    schedule = ((1, gap) for gap in count(1))
     diagnostics = {"mode": "formal", "index_classes": index_classes(p)}
-    return _search(p, n, index_mode, candidates, diagnostics)
+    return _search(p, n, index_mode, schedule, retry_bound, diagnostics)
 
 
 class Certificate:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .boxorder import Params
-from .scalars import KappaMode, ParamScalar
+from .scalars import KappaMode, ParamScalar, refuse_foreign_keys
 
 
 class Stability:
@@ -54,6 +54,7 @@ class Stability:
     def from_json(cls, data: dict) -> Stability:
         if not isinstance(data, dict) or not isinstance(data.get("theta"), list):
             raise ValueError("theta must be a JSON object with a list theta")
+        refuse_foreign_keys(data, ("kappa", "theta"), "theta")
         mode = KappaMode.from_label(data["kappa"])
         return cls(tuple(ParamScalar.from_json(entry, mode) for entry in data["theta"]))
 

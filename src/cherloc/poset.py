@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from collections import namedtuple
 from collections.abc import Hashable
 
@@ -103,11 +104,6 @@ class Relation:
         labels, rows = laid
         return cls(tuple(map(_label_from_json, labels)), rows)
 
-    @classmethod
-    def loads(cls, text: str) -> Relation:
-        """The relation a JSON text holds, read by load."""
-        return cls.load(io.StringIO(text))
-
     def to_json(self) -> dict:
         return json.loads(self.dumps())
 
@@ -206,6 +202,8 @@ def _label_from_json(label):
         return tuple(_label_from_json(part) for part in label)
     if isinstance(label, dict):
         raise ValueError("a relation label cannot be a JSON object")
+    if isinstance(label, float) and not math.isfinite(label):  # 1e400 reads as inf
+        raise ValueError("a relation label cannot be infinite")
     return label
 
 
@@ -369,7 +367,7 @@ def common_refinement(r1: Relation, r2: Relation) -> RefinementResult:
                 break  # no strict cycle is shorter
     if best is not None:
         return RefinementResult(None, tuple(r1.labels[idx] for idx in best))
-    return RefinementResult(Relation(r1.labels, [r | 1 << a for a, r in enumerate(reach)]), None)
+    return RefinementResult(reflexive_closure(Relation(r1.labels, reach)), None)
 
 
 def hasse(rel: Relation) -> Relation:

@@ -173,9 +173,17 @@ class ParamScalar:
     def from_json(cls, data: dict, mode: KappaMode) -> ParamScalar:
         if not isinstance(data, dict):
             raise ValueError("a scalar must be a JSON object")
+        refuse_foreign_keys(data, ("a", "b"), "a scalar")
         a = parse_rational(data["a"])
         b = parse_rational(data.get("b", "0/1"))
         return cls(a, b, mode)
+
+
+def refuse_foreign_keys(data: dict, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a JSON object holding a key outside keys, naming the first."""
+    foreign = [key for key in data if key not in keys]
+    if foreign:
+        raise ValueError(f"{what} takes no field {foreign[0]!r}")
 
 
 def parse_scalar(text: str, mode: KappaMode) -> ParamScalar:

@@ -362,6 +362,18 @@ FOREIGN_KEY = {
 }
 
 
+# Jobs with a key that params, theta or a scalar does not take -> the object
+# and the key.
+NESTED_KEY = {
+    ("a scalar", "bb"): {"command": "theta", "params": {
+        "ell": 2, "kappa": "formal", "h": [{"a": "1/4", "bb": "1"}, {"a": "-1/4"}]}},
+    ("params", "hh"): {"command": "theta",
+                       "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}], "hh": []}},
+    ("theta", "ell"): {"command": "generic", "n": 1,
+                       "theta": {"ell": 1, "kappa": "1/2", "theta": [{"a": "1"}]}},
+}
+
+
 # Jobs whose index_mode option has the wrong type or is not one of its choices.
 GENERIC_JOB = {"command": "generic", "ell": 1, "n": 1,
                "theta": {"kappa": "1/2", "theta": [{"a": "1"}]}}
@@ -376,6 +388,9 @@ def assert_names_the_key(case, err):
     for key, foreign in FOREIGN_KEY.items():
         if foreign is case:
             assert err == f"cherloc: {case['command']} takes no job field {key!r}\n"
+    for (what, key), nested in NESTED_KEY.items():
+        if nested is case:
+            assert err == f"cherloc: {what} takes no field {key!r}\n"
     if any(bad is case for bad in BAD_INDEX_MODE):
         assert err.startswith("cherloc: job field 'index_mode' must be ")
 
@@ -413,6 +428,7 @@ def assert_names_the_key(case, err):
         {"command": "localize", "n": 2, "options": {"oracle_bound": float("-inf")},
          "params": {"ell": 1, "kappa": "1/2", "h": [{"a": "0/1"}]}},
         *FOREIGN_KEY.values(),
+        *NESTED_KEY.values(),
         # nesting deeper than json.load recurses, written out as text
         pytest.param('{"command": "theta", "params": ' + "[" * 100000 + "]" * 100000 + "}",
                      id="params-nested-100000-deep"),
@@ -567,6 +583,20 @@ def test_malformed_relation_file_exits_2_with_one_line(capsys, tmp_path, relatio
     assert out == ""
     assert err.startswith("cherloc: ") and err.count("\n") == 1
     assert_names_the_key(relation, err)
+
+
+@pytest.mark.parametrize("label", ["1e400", "-1e400", "[2, 1e400]"])
+@pytest.mark.parametrize("order_layout", [False, True])
+def test_a_label_that_reads_as_infinity_exits_2(capsys, tmp_path, label, order_layout):
+    # 1e400 is JSON, but it reads as inf, which no artifact can write back.
+    relation = {"labels": ["LABEL", 2], "matrix": [[1, 0], [0, 1]]}
+    text = json.dumps(relation, **({"indent": 2, "sort_keys": True} if order_layout else {}))
+    path, out_path = tmp_path / "relation.json", tmp_path / "refined.json"
+    path.write_text(text.replace('"LABEL"', label) + "\n")
+    argv = ["common-refinement", str(path), str(path), "--out", str(out_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "cherloc: a relation label cannot be infinite\n")
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("other", [[True, 2], [1.0, 2]])
@@ -733,7 +763,7 @@ def test_relation_writer_equals_the_generic_encoder(data):
     reference = to_json_per_entry(rel.labels, rel.matrix)
     assert canonical_dumps(rel) == json.dumps(reference, indent=2, sort_keys=True) + "\n"
     assert rel.to_json() == reference
-    assert Relation.loads(canonical_dumps(rel)) == rel
+    assert Relation.load(io.StringIO(canonical_dumps(rel))) == rel
 
 
 # Fuzz of main.  Each input is well formed (ell <= 3, n <= 4) except for at
@@ -802,7 +832,8 @@ def command_lines(draw):
 def job_files(draw):
     """A job holding only its command's keys, well formed except for at most
     one breakage: a key dropped, a value replaced by junk, or one key added
-    that the command does not take."""
+    that the command, its params, its theta or a scalar does not take; and
+    whether that key was added."""
     command = draw(st.sampled_from(COMMANDS))
     fields = draw(well_formed_fields(command))
     mode = fields.get("kappa", "1/2")
@@ -824,9 +855,12 @@ def job_files(draw):
         foreign = [(job, "nn"), (job, "inputs"), (options, "retry_bund"), (options, "ell")]
         foreign += [(job, "n")] * (command == "theta") + [(options, "dot")] * (command != "order")
         foreign += [(job, "params")] * ("h" not in fields)
+        foreign += [(job[name], "ell" if name == "theta" else "hh")
+                    for name in ("params", "theta") if name in job]
+        foreign += [(scalars[0], "bb")] * ("h" in fields or "theta" in fields)
         where, key = draw(st.sampled_from(foreign))
         where[key] = draw(JUNK)
-        return job
+        return job, True
     where = {"job": job, "options": options}.get(target, job.get(target))
     if isinstance(where, dict) and where:
         key = draw(st.sampled_from(sorted(where)))
@@ -834,7 +868,7 @@ def job_files(draw):
             del where[key]
         else:
             where[key] = draw(JUNK)
-    return job
+    return job, False
 
 
 def _assert_exit_contract(code, out, err, wrote_file=False):
@@ -875,12 +909,14 @@ def test_fuzzed_command_lines_keep_the_exit_contract(argv):
 
 
 @settings(max_examples=200, deadline=None)
-@given(job=job_files())
-def test_fuzzed_job_files_keep_the_exit_contract(job, tmp_path_factory):
+@given(case=job_files())
+def test_fuzzed_job_files_keep_the_exit_contract(case, tmp_path_factory):
+    job, foreign = case
     tmp = tmp_path_factory.mktemp("job")
     (tmp / "job.json").write_text(json.dumps(job))
     code, out, err, written = _main_in(tmp, ["job", "job.json"])
     _assert_exit_contract(code, out, err, written)
+    assert code == 2 or not foreign
 
 
 def _scalar_json(text, formal):
@@ -900,8 +936,9 @@ def command_lines_and_job_files(draw):
         argv.append(f"--{name}={','.join(value) if isinstance(value, list) else value}")
         if name in ("h", "theta"):
             scalars = [_scalar_json(text, fields["kappa"] == "formal") for text in value]
-            job[{"h": "params"}.get(name, name)] = {
-                "ell": fields["ell"], "kappa": fields["kappa"], name: scalars}
+            job[{"h": "params"}.get(name, name)] = {"kappa": fields["kappa"], name: scalars}
+            if name == "h":  # a theta object holds no ell
+                job["params"]["ell"] = fields["ell"]
         elif name in ("ell", "n"):
             job[name] = value
         elif name != "kappa":

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import lcm
 
 import pytest
@@ -25,7 +25,7 @@ from cherloc import (
     verify_preservation,
 )
 from cherloc import deform
-from cherloc.deform import RETRY_BOUND, _gap_vector, _rational_schedule, required_checks
+from cherloc.deform import RETRY_BOUND, _candidate, _gap_vector, required_checks
 from test_acceptance import box_grid
 
 HALF = KappaMode.rational(Fraction(1, 2))
@@ -177,8 +177,11 @@ def test_mode_guards():
         deform_rational(formal, 2)
     with pytest.raises(ValueError):
         deform_formal(rational, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^kappa must be nonzero$"):
         deform_rational(Params.build(KappaMode.rational(0), [0]), 2)
+    # The retry bound is checked by the search, after the mode's own guards.
+    with pytest.raises(ValueError, match="^kappa must be nonzero$"):
+        deform_rational(Params.build(KappaMode.rational(0), [0]), 2, retry_bound=-1)
 
 
 def test_localize_input_guards():
@@ -271,7 +274,8 @@ def rational_candidates_oracle(p, retry_bound):
     kappa = p.mode.value
     base = [p.h[i].a + Fraction(i, p.ell) for i in range(p.ell)]
     D = lcm(kappa.denominator, *(value.denominator for value in base))
-    for t, gap in _rational_schedule(retry_bound):
+    sweep = ((t, total - t) for total in count(2) for t in range(1, total))
+    for t, gap in islice(sweep, retry_bound):
         M = 1 + t * D
         m = _gap_vector(p.ell, gap)
         delta = [(M - 1) * base[i] - m[i] for i in range(p.ell)]
@@ -294,26 +298,26 @@ def formal_candidates_oracle(p, retry_bound):
         yield p2, {"M": 1, "m": m}
 
 
-def fed_candidates(p, count):
-    """The first count candidates that deform_rational or deform_formal
-    hands to the search."""
+def fed_candidates(p, size):
+    """The candidates of the first size (M, gap) pairs of the schedule that
+    deform_rational or deform_formal hands to the search."""
     seen = []
 
-    def capture(p, n, index_mode, candidates, diagnostics):
-        seen.extend(islice(candidates, count))
+    def capture(p, n, index_mode, schedule, retry_bound, diagnostics):
+        seen.extend(_candidate(p, M, gap) for M, gap in islice(schedule, retry_bound))
         return seen[0]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(deform, "_search", capture)
-        (deform_rational if p.mode.is_rational else deform_formal)(p, 1, retry_bound=count)
+        (deform_rational if p.mode.is_rational else deform_formal)(p, 1, retry_bound=size)
     return seen
 
 
 @settings(max_examples=200, deadline=None)
-@given(p=deform_params(), count=st.integers(1, 6))
-def test_candidates_agree_with_the_per_mode_generators(p, count):
+@given(p=deform_params(), size=st.integers(1, 6))
+def test_candidates_agree_with_the_per_mode_generators(p, size):
     oracle = rational_candidates_oracle if p.mode.is_rational else formal_candidates_oracle
-    assert fed_candidates(p, count) == list(oracle(p, count))
+    assert fed_candidates(p, size) == list(oracle(p, size))
 
 
 def test_preservation_violation_reports_the_pair():

@@ -106,11 +106,15 @@ FILES = {
     "job-no-kappa.json": {"command": "theta", "params": {"ell": 1, "h": [{"a": "0/1"}]}},
     "job-no-a.json": {"command": "theta",
                       "params": {"ell": 1, "kappa": "1/2", "h": [{"b": "0/1"}]}},
+    "job-misspelt-scalar.json": {
+        "command": "theta",
+        "params": {"ell": 2, "kappa": "formal", "h": [{"a": "1/4", "bb": "1"}, {"a": "-1/4"}]},
+    },
     "no-matrix.json": {"labels": [1]},
 }
 FILES["gen-order-1.json"], FILES["gen-order-2.json"] = _generated_pair(8, 100, 0)
 FILES["gen-cycle-1.json"], FILES["gen-cycle-2.json"] = _generated_pair(9, 104, 4)
-# Relations in the layout `order` writes, which Relation.loads reads row by row;
+# Relations in the layout `order` writes, which Relation.load reads row by row;
 # the compact files above take its full parse.
 FILES.update({f"laid-{name}": _order_layout(FILES[name]) for name in (
     "chain.json", "antichain.json", "partial.json", "gen-cycle-1.json", "gen-cycle-2.json")})
@@ -122,6 +126,12 @@ FILES["laid-crlf.json"] = FILES["laid-partial.json"].replace("\n", "\r\n")
 FILES["laid-bom.json"] = "\ufeff" + FILES["laid-crlf.json"]
 FILES["laid-cut.json"] = FILES["laid-crlf.json"][:FILES["laid-crlf.json"].index("    ],") + 22]
 FILES["laid-extra.json"] = FILES["laid-crlf.json"] + " x"
+# A label 1e400 or -1e400 is JSON but reads as an infinite float, in the
+# compact layout and in the order layout.
+_TWO = _relation(["INF", 2], [[1, 0], [0, 1]])
+for _name, _label in (("inf", "1e400"), ("neg-inf", "-1e400")):
+    FILES[f"{_name}.json"] = json.dumps(_TWO).replace('"INF"', _label)
+    FILES[f"laid-{_name}.json"] = _order_layout(_TWO).replace('"INF"', _label)
 # A job file that holds a constant JSON does not have.
 FILES["job-nan.json"] = {"command": "enumerate", "ell": 1, "n": float("nan")}
 
@@ -260,7 +270,8 @@ def _cases():
         ["common-refinement", "chain.json", "laid-entry-2.json"],
     ]
     cases += [["common-refinement", name, name]
-              for name in ("laid-crlf.json", "laid-bom.json", "laid-cut.json", "laid-extra.json")]
+              for name in ("laid-crlf.json", "laid-bom.json", "laid-cut.json", "laid-extra.json",
+                           "inf.json", "neg-inf.json", "laid-inf.json", "laid-neg-inf.json")]
     cases += [["job", name] for name in sorted(FILES) if name.startswith("job-")]
     # Invalid input: exit 2 with one line.
     cases += [

@@ -238,3 +238,31 @@ def test_relation_equals_the_matrix_of_pairwise_queries(inst):
     assert rel.matrix == tuple(
         tuple(leq_p(inst, lam, mu) for mu in inst.labels) for lam in inst.labels
     )
+
+
+def key_dominance(p, lam, mu):
+    """The lemma the matching order rests on away from kappa = 0: with the
+    content_table values of each label sorted, lam <= mu exactly when the two
+    lists have the same class ids and each content of lam lies weakly below
+    the content of mu at its position."""
+    left, right = (sorted(content_table(p, boxes(mp)).values()) for mp in (lam, mu))
+    return ([cid for cid, _ in left] == [cid for cid, _ in right]
+            and all(x <= y for (_, x), (_, y) in zip(left, right)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=instances(max_ell=3, max_n=4).filter(
+    lambda inst: not inst.p.mode.is_rational or inst.p.mode.value != 0))
+def test_leq_p_is_key_dominance_when_kappa_is_nonzero(inst):
+    for lam in inst.labels:
+        for mu in inst.labels:
+            assert leq_p(inst, lam, mu) == key_dominance(inst.p, lam, mu)
+
+
+def test_kappa_zero_ties_distinct_boxes_so_key_dominance_fails():
+    # Every box of (2) and of (1, 1) has content h_0: the key lists agree,
+    # yet the box (1, 2) is not below (2, 1), nor the other way round.
+    p = Params.build(KappaMode.rational(0), [0])
+    inst = OrderInstance(p, 2)
+    assert key_dominance(p, ROW2, COL2) and key_dominance(p, COL2, ROW2)
+    assert not leq_p(inst, ROW2, COL2) and not leq_p(inst, COL2, ROW2)
