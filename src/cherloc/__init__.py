@@ -1,13 +1,6 @@
 """Exact combinatorics of multipartition box orders and their deformations."""
 
-from .boxorder import (
-    Params,
-    box_equiv,
-    box_less,
-    cont,
-    content_class_key,
-    content_table,
-)
+from .boxorder import Params, content_table
 from .combinatorics import (
     Box,
     Multipartition,
@@ -44,7 +37,6 @@ from .poset import (
     refines,
     reflexive_closure,
     to_dot,
-    transitive_closure,
 )
 from .scalars import (
     KappaMode,
@@ -73,12 +65,8 @@ __all__ = [
     "Relation",
     "Stability",
     "aspherical_witnesses",
-    "box_equiv",
-    "box_less",
     "boxes",
     "common_refinement",
-    "cont",
-    "content_class_key",
     "content_table",
     "deform_formal",
     "deform_rational",
@@ -98,6 +86,5 @@ __all__ = [
     "relation_p",
     "theta_of_p",
     "to_dot",
-    "transitive_closure",
     "verify_preservation",
 ]

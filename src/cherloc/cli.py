@@ -40,7 +40,7 @@ def canonical_dumps(payload: dict | Relation, handle=None) -> str | None:
     if isinstance(payload, Relation):
         payload.dump(out)
     else:
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return out.getvalue() if handle is None else None
 
 

@@ -59,7 +59,7 @@ class Relation:
         are written one at a time.
         """
         k = self.size
-        head = json.dumps({"labels": self.labels}, indent=2, sort_keys=True)[:-2]
+        head = json.dumps({"labels": self.labels}, indent=2, sort_keys=True, allow_nan=False)[:-2]
         if not k:
             handle.write(head + ',\n  "matrix": []\n}\n')
             return
@@ -71,12 +71,6 @@ class Relation:
             handle.write(buffer.decode())
             separator = ",\n"
         handle.write(_TAIL)
-
-    def dumps(self) -> str:
-        """The text dump writes."""
-        text = io.StringIO()
-        self.dump(text)
-        return text.getvalue()
 
     @classmethod
     def load(cls, handle) -> Relation:
@@ -105,7 +99,9 @@ class Relation:
         return cls(tuple(map(_label_from_json, labels)), rows)
 
     def to_json(self) -> dict:
-        return json.loads(self.dumps())
+        text = io.StringIO()
+        self.dump(text)
+        return json.loads(text.getvalue())
 
     @classmethod
     def from_json(cls, data: dict) -> Relation:
@@ -127,7 +123,7 @@ _ENTRY = bytes.maketrans(b"01", b"\0\1")
 _DIGIT = bytes.maketrans(b"\0\1", b"01")
 
 
-# The text between the labels and the rows in dumps' layout, and after the rows.
+# The text between the labels and the rows in dump's layout, and after the rows.
 _MATRIX = ',\n  "matrix": [\n'
 _TAIL = "\n  ]\n}\n"
 _CHUNK = 1 << 16  # characters read at a time while looking for _MATRIX
@@ -139,7 +135,7 @@ def refuse_constant(token: str):
 
 
 def _row_template(k: int) -> str:
-    """A row of k entries 0 as dumps writes it; entry b sits at offset 12 + 9*b."""
+    """A row of k entries 0 as dump writes it; entry b sits at offset 12 + 9*b."""
     return "    [\n      " + "0,\n      " * (k - 1) + "0\n    ]"
 
 

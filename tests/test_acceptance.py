@@ -25,8 +25,6 @@ from cherloc import (
     Relation,
     Stability,
     aspherical_witnesses,
-    box_equiv,
-    box_less,
     boxes,
     common_refinement,
     genericity_witness,
@@ -37,9 +35,10 @@ from cherloc import (
     refines,
     relation_p,
     theta_of_p,
-    transitive_closure,
 )
+from cherloc.boxorder import box_equiv, box_less
 from cherloc.cli import canonical_dumps, main
+from cherloc.poset import transitive_closure
 
 RATIONAL_KAPPAS = [
     Fraction(1),

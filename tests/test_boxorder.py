@@ -6,16 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cherloc import (
-    Box,
-    KappaMode,
-    Params,
-    box_equiv,
-    box_less,
-    cont,
-    content_class_key,
-    content_table,
-)
+from cherloc import Box, KappaMode, Params, content_table
+from cherloc.boxorder import box_equiv, box_less, cont, content_class_key
 from test_acceptance import box_grid
 
 HALF = KappaMode.rational(Fraction(1, 2))

@@ -683,7 +683,7 @@ def test_common_refinement_holds_less_than_one_relation_file(tmp_path, cycle):
     assert code == (1 if cycle else 0)
     assert peak < os.path.getsize(paths[0])
     if not cycle:
-        assert (tmp_path / "out.json").read_text(encoding="utf-8") == first.dumps()
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == canonical_dumps(first)
 
 
 def test_order_holds_less_than_the_artifact_it_writes(tmp_path):
@@ -697,7 +697,7 @@ def test_order_holds_less_than_the_artifact_it_writes(tmp_path):
 
 def test_a_bad_byte_is_reported_at_its_offset_in_the_file(capsys, tmp_path):
     # The row reader decodes in chunks; the message still names the file offset.
-    data = bytearray(chain_pair(4, 5, False)[0].dumps().encode())
+    data = bytearray(canonical_dumps(chain_pair(4, 5, False)[0]).encode())
     assert len(data) > 200000
     data[200000] = 0xFF
     path = tmp_path / "bad.json"
@@ -715,9 +715,9 @@ def test_a_bad_byte_is_reported_at_its_offset_in_the_file(capsys, tmp_path):
 def test_a_relation_read_from_a_pipe_reads_as_from_a_file(capsys, tmp_path, cycle, layout):
     first, second = chain_pair(4, 5, cycle)
     path, other = tmp_path / "first.json", str(tmp_path / "second.json")
-    text = first.dumps()
+    text = canonical_dumps(first)
     path.write_bytes((text.replace("\n", "\r\n") if layout == "crlf" else text).encode())
-    (tmp_path / "second.json").write_text(second.dumps(), encoding="utf-8")
+    (tmp_path / "second.json").write_text(canonical_dumps(second), encoding="utf-8")
     if layout == "compact":
         subprocess.run([sys.executable, "-m", "json.tool", "--compact", str(path), str(path)],
                        check=True)
@@ -761,9 +761,25 @@ def test_relation_writer_equals_the_generic_encoder(data):
     rows = data.draw(st.lists(st.integers(0, 2**size - 1), min_size=size, max_size=size))
     rel = Relation(tuple(labels), rows)
     reference = to_json_per_entry(rel.labels, rel.matrix)
+    written = io.StringIO()
+    rel.dump(written)
+    assert canonical_dumps(rel) == written.getvalue()
     assert canonical_dumps(rel) == json.dumps(reference, indent=2, sort_keys=True) + "\n"
-    assert rel.to_json() == reference
+    assert rel.to_json() == json.loads(canonical_dumps(rel)) == reference
     assert Relation.load(io.StringIO(canonical_dumps(rel))) == rel
+
+
+def test_the_writers_refuse_a_non_finite_float():
+    # NaN and Infinity are not JSON.  Each writer encodes before it writes,
+    # so a refused artifact leaves the handle empty.
+    rel = Relation((float("inf"), float("nan")), [1, 2])
+    writes = [rel.dump, lambda handle: canonical_dumps({"x": float("nan")}, handle)]
+    for write in writes:
+        handle = io.StringIO()
+        # Python 3.11 and later append ": inf" or ": nan" to the message.
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            write(handle)
+        assert handle.getvalue() == ""
 
 
 # Fuzz of main.  Each input is well formed (ell <= 3, n <= 4) except for at

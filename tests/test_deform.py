@@ -14,8 +14,6 @@ from cherloc import (
     IndexMode,
     KappaMode,
     Params,
-    box_equiv,
-    box_less,
     content_table,
     deform_formal,
     deform_rational,
@@ -25,6 +23,7 @@ from cherloc import (
     verify_preservation,
 )
 from cherloc import deform
+from cherloc.boxorder import box_equiv, box_less
 from cherloc.deform import RETRY_BOUND, _candidate, _gap_vector, required_checks
 from test_acceptance import box_grid
 

@@ -10,16 +10,15 @@ from cherloc import (
     Multipartition,
     OrderInstance,
     Params,
-    box_less,
     boxes,
-    content_class_key,
     content_table,
     is_partial_order,
     leq_p,
     relation_p,
-    transitive_closure,
 )
 from cherloc import mporder
+from cherloc.boxorder import box_less, content_class_key
+from cherloc.poset import transitive_closure
 from test_acceptance import leq_p_oracle
 
 HALF = KappaMode.rational(Fraction(1, 2))

@@ -21,8 +21,9 @@ from cherloc import (
     refines,
     reflexive_closure,
     to_dot,
-    transitive_closure,
 )
+from cherloc.cli import canonical_dumps
+from cherloc.poset import transitive_closure
 
 
 def rel(labels, pairs, reflexive=True):
@@ -352,7 +353,7 @@ def test_relation_text_reads_as_the_full_parse_reads_it(data):
     rel = Relation(labels, data.draw(st.lists(st.integers(0, 2**k - 1), min_size=k, max_size=k)))
     values = to_json_per_entry(labels, rel.matrix)["labels"]
     tokens = [[str(int(v)) for v in row] for row in rel.matrix]
-    text = rel.dumps()
+    text = canonical_dumps(rel)
     assert layout(values, tokens) == text
     cut = text.index(',\n  "matrix": [')
     a, b = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
@@ -360,13 +361,13 @@ def test_relation_text_reads_as_the_full_parse_reads_it(data):
     def entry(token):
         return [row[:b] + [token] + row[b + 1:] if i == a else row for i, row in enumerate(tokens)]
 
-    # Texts in the layout dumps writes, read without the full parse.
+    # Texts in the layout dump writes, read without the full parse.
     canonical = [
         text,
         '{\n  "extra": {"matrix": [[2]]},\n' + text[2:],
         '{\n  "matrix": [[2]],\n' + text[2:],
-        Relation((',\n  "matrix": [',) + labels[1:], rel.rows).dumps(),
-        Relation(('"matrix": [',) + labels[1:], rel.rows).dumps(),
+        canonical_dumps(Relation((',\n  "matrix": [',) + labels[1:], rel.rows)),
+        canonical_dumps(Relation(('"matrix": [',) + labels[1:], rel.rows)),
     ]
     for case in canonical:
         expected = full_parse(case)
@@ -398,7 +399,7 @@ def test_relation_text_reads_as_the_full_parse_reads_it(data):
         layout(values[:a] + values[a + 1:] + [values[a]], tokens),
         layout(values[:-1] + [values[0]], tokens),
         layout([], []),
-        Relation((), ()).dumps(),
+        canonical_dumps(Relation((), ())),
         text + " ",
         text + " x",
         text[:-1],
@@ -420,9 +421,9 @@ def test_relation_text_reads_as_the_full_parse_reads_it(data):
 def test_a_matrix_marker_across_two_read_chunks_is_found(offset):
     # The head is read in chunks; a marker may start in one and end in the next.
     at = cherloc.poset._CHUNK + offset
-    empty = Relation(("", "b"), [0b11, 0b10]).dumps().index(cherloc.poset._MATRIX)
+    empty = canonical_dumps(Relation(("", "b"), [0b11, 0b10])).index(cherloc.poset._MATRIX)
     rel = Relation(("a" * (at - empty), "b"), [0b11, 0b10])
-    text = rel.dumps()
+    text = canonical_dumps(rel)
     assert text.index(cherloc.poset._MATRIX) == at
     with mock.patch.object(Relation, "from_json", side_effect=AssertionError(offset)):
         assert load_text(text) == rel
